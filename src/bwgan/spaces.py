@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from . import autodiff as ad
 
@@ -138,9 +139,15 @@ def _values(g) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def dual_exponent(p: float) -> float:
-    """Hoelder conjugate q with 1/p + 1/q = 1; requires p > 1."""
+    """Hoelder conjugate q with 1/p + 1/q = 1; requires p > 1.
+
+    The conjugate of p = inf is 1, so the dual of an L^inf norm is the
+    L^1 norm and its maximizer is sign(g).
+    """
     if not p > 1.0:
         raise SpaceError(f"dual exponent requires p > 1, got {p}")
+    if np.isinf(p):
+        return 1.0
     return p / (p - 1.0)
 
 
@@ -264,6 +271,44 @@ def norm(space: SpaceSpec, x) -> float:
     """Norm of one signal in its natural or flattened layout."""
     x = np.asarray(x, dtype=np.float64)
     return float(norm_batch(space, x.reshape(1, -1))[0])
+
+
+def pairwise_norms(space: SpaceSpec, X, Y) -> np.ndarray:
+    """(m, n) matrix of ||x_i - y_j|| for rows x_i of X and y_j of Y.
+
+    Every operator a norm applies before its L^p norm is linear, so it is
+    applied to the m + n rows instead of the m * n differences.
+    """
+    X = _check_rows(space, X)
+    Y = _check_rows(space, Y)
+    if X.shape[1] != Y.shape[1]:
+        raise SpaceError(f"signal sizes {X.shape[1]} and {Y.shape[1]} differ")
+    if space.family == "lp":
+        return _lp_pairwise(X, Y, space.p, space.measure)
+    if space.family == "sobolev":
+        return _lp_pairwise(_sobolev_rows(X, space, space.s),
+                            _sobolev_rows(Y, space, space.s),
+                            space.p, space.measure)
+    if space.family == "weighted":
+        return pairwise_norms(space.base, X * space.weight, Y * space.weight)
+    # product
+    out = np.zeros((X.shape[0], Y.shape[0]))
+    offset = 0
+    for sub, size in space.factors:
+        cols = slice(offset, offset + size)
+        out += pairwise_norms(sub, X[:, cols], Y[:, cols]) ** space.p
+        offset += size
+    return out ** (1.0 / space.p)
+
+
+def _lp_pairwise(X, Y, p, measure):
+    if p == 2.0 and measure == "counting":
+        return cdist(X, Y)
+    # one row at a time, so no (m, n, size) block is allocated
+    out = np.empty((X.shape[0], Y.shape[0]))
+    for i, x in enumerate(X):
+        out[i] = _lp_norm_rows(x - Y, p, measure)
+    return out
 
 
 def dual_norm_batch(space: SpaceSpec, G) -> np.ndarray:

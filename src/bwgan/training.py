@@ -17,6 +17,7 @@ data distribution, which keep the loss scale norm-independent.
 
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -24,7 +25,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import datasets
-from .nets import Critic, Generator
+from .nets import ACTIVATIONS, Critic, Generator
 from .spaces import SpaceSpec, dual_norm_batch, dual_norm_rows, norm_batch
 from .transport import DiscreteMeasure, wasserstein_1
 
@@ -283,6 +284,17 @@ class TrainConfig:
             v = getattr(self, name)
             if v != "auto" and not (isinstance(v, (int, float)) and v > 0):
                 raise ValueError(f"{name} must be positive or 'auto'")
+        if not (isinstance(self.activation, str) and self.activation in ACTIVATIONS):
+            raise ValueError(f"unknown activation {self.activation!r}; "
+                             f"expected one of {sorted(ACTIVATIONS)}")
+        if (isinstance(self.heuristic_samples, bool)
+                or not isinstance(self.heuristic_samples, numbers.Integral)
+                or self.heuristic_samples < 1):
+            raise ValueError(f"heuristic_samples must be an integer >= 1, "
+                             f"got {self.heuristic_samples!r}")
+        if (isinstance(self.lr, bool) or not isinstance(self.lr, numbers.Real)
+                or not self.lr > 0):
+            raise ValueError(f"lr must be a positive number, got {self.lr!r}")
 
 
 @dataclass

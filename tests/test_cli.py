@@ -224,6 +224,20 @@ def test_train_rejects_unknown_key(tmp_path, capsys):
     assert "sede" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [("activation", "foo"),
+                                        ("heuristic_samples", 0),
+                                        ("lr", "fast")])
+def test_train_rejects_bad_field_value(tmp_path, capsys, key, value):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(tiny_config_doc(tmp_path / "run",
+                                                 total_iterations=2,
+                                                 **{key: value})))
+    assert cli.main(["train", str(config)]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert key in err
+
+
 def test_train_rejects_malformed_json(tmp_path, capsys):
     config = tmp_path / "run.json"
     config.write_text("{not json")

@@ -82,8 +82,27 @@ def test_lp_norm_normalized_scaling():
 def test_dual_exponent():
     assert spaces.dual_exponent(2.0) == pytest.approx(2.0)
     assert spaces.dual_exponent(4.0) == pytest.approx(4.0 / 3.0)
+    assert spaces.dual_exponent(np.inf) == 1.0
     with pytest.raises(spaces.SpaceError):
         spaces.dual_exponent(1.0)
+
+
+def test_linf_dual_is_l1():
+    space = spaces.lp_space(np.inf)
+    G = np.ones((2, 3))
+    np.testing.assert_array_equal(spaces.dual_norm_batch(space, G), [3.0, 3.0])
+    g = ad.Input((2, 3), name="g")
+    np.testing.assert_array_equal(
+        ad.evaluate(spaces.dual_norm_rows(space, g), {g: G}), [3.0, 3.0])
+    rng = np.random.default_rng(16)
+    for _ in range(20):
+        g = rng.standard_normal(16)
+        dual = spaces.dual_norm(space, g)
+        assert dual == pytest.approx(np.abs(g).sum(), rel=1e-12)
+        h = spaces.dual_norm_maximizer(space, g)
+        np.testing.assert_array_equal(h, np.sign(g))
+        attained = spaces.pairing(g, h) / spaces.norm(space, h)
+        assert attained == pytest.approx(dual, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -105,6 +105,102 @@ def test_lp_matches_vertex_enumeration():
 
 
 # ---------------------------------------------------------------------------
+# Cost matrix against the per-difference norms
+# ---------------------------------------------------------------------------
+
+COST_DIM = 64
+
+
+def cost_space_zoo():
+    half = COST_DIM // 2
+    return [
+        spaces.lp_space(1.0),
+        spaces.lp_space(1.5),
+        spaces.lp_space(2.0),
+        spaces.lp_space(np.inf),
+        spaces.lp_space(2.0, measure="normalized"),
+        spaces.sobolev_space(1.0, 2.0, (8, 8)),
+        spaces.sobolev_space(-1.0, 2.0, (8, 8)),
+        spaces.sobolev_space(1.0, 1.5, (8, 8)),
+        spaces.weighted_space(spaces.lp_space(3.0),
+                              0.5 + np.arange(COST_DIM) / COST_DIM),
+        spaces.product_space([(spaces.lp_space(1.5), half),
+                              (spaces.lp_space(4.0), COST_DIM - half)]),
+    ]
+
+
+@pytest.mark.parametrize("space", cost_space_zoo(),
+                         ids=lambda s: f"{s.family}-p{s.p}-s{s.s}-{s.measure}")
+def test_cost_matrix_matches_per_difference_norms(space):
+    rng = np.random.default_rng(6)
+    mu = random_measure(rng, 7, dim=COST_DIM)
+    nu = random_measure(rng, 5, dim=COST_DIM)
+    for p in (1.0, 2.0):
+        expected = np.array([[spaces.norm_batch(space, (x - y)[None, :])[0] ** p
+                              for y in nu.points] for x in mu.points])
+        np.testing.assert_allclose(transport.cost_matrix(mu, nu, space, p),
+                                   expected, rtol=1e-12, atol=0.0)
+
+
+def test_pairwise_norms_rejects_wrong_signal_size():
+    sob = spaces.sobolev_space(1.0, 2.0, (8, 8))
+    with pytest.raises(spaces.SpaceError):
+        spaces.pairwise_norms(sob, np.zeros((2, 63)), np.zeros((3, 63)))
+    with pytest.raises(spaces.SpaceError):
+        spaces.pairwise_norms(L2, np.zeros((2, 3)), np.zeros((3, 2)))
+
+
+# ---------------------------------------------------------------------------
+# Assignment path for uniform measures of equal size
+# ---------------------------------------------------------------------------
+
+def test_uniform_pairs_solved_by_assignment(monkeypatch):
+    def no_lp(*args, **kwargs):
+        raise AssertionError("uniform pair reached the LP")
+
+    monkeypatch.setattr(transport, "linprog", no_lp)
+    rng = np.random.default_rng(7)
+    for n in (2, 3, 4):
+        w = np.full(n, 1.0 / n)
+        for p in (1.0, 2.0):
+            for _ in range(5):
+                mu = transport.DiscreteMeasure(rng.standard_normal((n, 2)), w)
+                nu = transport.DiscreteMeasure(rng.standard_normal((n, 2)), w)
+                dist, plan = transport.wasserstein_p_exact(mu, nu, L2, p)
+                cost = transport.cost_matrix(mu, nu, L2, p)
+                brute = min_cost_by_enumeration(cost, w, w) ** (1.0 / p)
+                assert dist == pytest.approx(brute, abs=1e-12)
+                P = plan.matrix
+                np.testing.assert_array_equal(np.sort(P, axis=1)[:, :-1], 0.0)
+                np.testing.assert_array_equal(P.max(axis=1), 1.0 / n)
+                np.testing.assert_array_equal(np.count_nonzero(P, axis=0), 1)
+                assert plan.marginal_error() <= 1e-15
+
+
+def test_split_atom_takes_lp_and_keeps_distance(monkeypatch):
+    rng = np.random.default_rng(8)
+    n = 32
+    w = np.full(n, 1.0 / n)
+    mu = transport.DiscreteMeasure(rng.standard_normal((n, 2)), w)
+    nu = transport.DiscreteMeasure(rng.standard_normal((n, 2)) + 0.5, w)
+    split = transport.DiscreteMeasure(
+        np.vstack([mu.points[:1], mu.points]),
+        np.concatenate([[0.3 / n, 0.7 / n], w[1:]]))
+    uniform = transport.wasserstein_1(mu, nu, L2)
+
+    lp_calls = []
+    linprog = transport.linprog
+
+    def counting_linprog(*args, **kwargs):
+        lp_calls.append(1)
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setattr(transport, "linprog", counting_linprog)
+    assert transport.wasserstein_1(split, nu, L2) == pytest.approx(uniform, rel=1e-7)
+    assert lp_calls == [1]
+
+
+# ---------------------------------------------------------------------------
 # Metric axioms
 # ---------------------------------------------------------------------------
 
