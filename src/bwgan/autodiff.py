@@ -51,7 +51,8 @@ class Node:
     def compute(self, *values):
         raise NotImplementedError
 
-    def vjp(self, g: "Node", index: int) -> "Node":
+    def vjp(self, g: "Node", index: int) -> "Node | None":
+        """Cotangent for parent ``index``; None when it is identically zero."""
         raise NotImplementedError
 
     # -- operator sugar -------------------------------------------------
@@ -294,7 +295,8 @@ class Relu(Node):
 
 
 class Step(Node):
-    """Heaviside step with the convention step(0) = 0; derivative taken as 0."""
+    """Heaviside step with the convention step(0) = 0; derivative taken as 0,
+    so its vjp is a symbolic zero and ``grad`` propagates nothing through it."""
 
     def __init__(self, a):
         super().__init__(a.shape, (a,))
@@ -303,7 +305,7 @@ class Step(Node):
         return (a > 0.0).astype(np.float64)
 
     def vjp(self, g, index):
-        return Constant(np.zeros(self.parents[0].shape))
+        return None
 
 
 class AbsPow(Node):
@@ -508,6 +510,29 @@ class PadCols(Node):
         return slice_cols(g, self.before, self.before + self.parents[0].shape[1])
 
 
+def half_spectrum(multiplier) -> np.ndarray:
+    """The part of an even Fourier multiplier that real FFTs use: the first
+    n // 2 + 1 entries along its last axis."""
+    m = np.asarray(multiplier, dtype=np.float64)
+    return np.ascontiguousarray(m[..., :m.shape[-1] // 2 + 1])
+
+
+def fourier_multiply(x, spatial_shape, half) -> np.ndarray:
+    """F^-1 [ m(xi) . F x ] for one flattened real signal or rows of them.
+
+    The FFT runs over the trailing one or two axes of ``spatial_shape``.
+    ``half`` is ``half_spectrum(m)`` of a multiplier m that is symmetric
+    under xi -> -xi, which makes the result real, so real FFTs compute it.
+    """
+    nfft = 1 if len(spatial_shape) == 1 else 2
+    axes = tuple(range(-nfft, 0))
+    v = x.reshape(x.shape[:-1] + tuple(spatial_shape))
+    spec = np.fft.rfftn(v, axes=axes, norm="ortho")
+    spec *= half
+    out = np.fft.irfftn(spec, s=spatial_shape[-nfft:], axes=axes, norm="ortho")
+    return out.reshape(x.shape)
+
+
 class FourierMultiplier(Node):
     """Linear operator F^-1 [ m(xi) . F x ] with a fixed real multiplier.
 
@@ -519,7 +544,7 @@ class FourierMultiplier(Node):
     itself.
     """
 
-    __slots__ = ("spatial_shape", "multiplier", "_axes")
+    __slots__ = ("spatial_shape", "multiplier", "_half")
 
     def __init__(self, a, spatial_shape, multiplier):
         spatial_shape = tuple(int(d) for d in spatial_shape)
@@ -536,17 +561,12 @@ class FourierMultiplier(Node):
         self.spatial_shape = spatial_shape
         self.multiplier = np.asarray(multiplier, dtype=np.float64)
         nfft = 1 if len(spatial_shape) == 1 else 2
-        self._axes = tuple(range(-nfft, 0))
         if self.multiplier.shape != spatial_shape[-nfft:]:
             raise ShapeError("fourier_multiplier: multiplier/signal shape mismatch")
+        self._half = half_spectrum(self.multiplier)
 
     def compute(self, a):
-        batch = a.shape[:-1] if a.ndim == 2 else ()
-        v = a.reshape(batch + self.spatial_shape)
-        spec = np.fft.fftn(v, axes=self._axes, norm="ortho")
-        spec *= self.multiplier
-        out = np.fft.ifftn(spec, axes=self._axes, norm="ortho").real
-        return np.ascontiguousarray(out.reshape(a.shape))
+        return fourier_multiply(a, self.spatial_shape, self._half)
 
     def vjp(self, g, index):
         return FourierMultiplier(g, self.spatial_shape, self.multiplier)
@@ -738,6 +758,10 @@ def grad(output: Node, wrt):
     ``wrt`` may be a node or a sequence of nodes; the result mirrors that
     structure.  The returned nodes are ordinary graph nodes and can be fed
     back into ``grad`` for higher derivatives.
+
+    A vjp of None is a symbolic zero: it adds nothing to the adjoint of its
+    parent, so a node whose cotangent is zero everywhere gets no gradient
+    nodes at all.  A target that receives no adjoint gets a zeros Constant.
     """
     if output.shape != ():
         raise GraphError(f"grad: output must be scalar, got {output!r}")
@@ -759,6 +783,8 @@ def grad(output: Node, wrt):
             if p not in needs:
                 continue
             contrib = node.vjp(g, i)
+            if contrib is None:
+                continue
             prev = adjoint.get(p)
             adjoint[p] = contrib if prev is None else add(prev, contrib)
 

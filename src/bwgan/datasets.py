@@ -35,23 +35,31 @@ def rectangles(rng: np.random.Generator, n: int) -> np.ndarray:
     """16x16 single-channel images of axis-aligned rectangles with smooth
     intensity ramps; flattened to rows of 256.
 
+    Image k covers rows [y0, y1) and columns [x0, x1), each side at least 2
+    long, and holds amp * (0.5 + (d0 (y - y0) + d1 (x - x0)) / 16) there,
+    for a unit direction d and an amplitude amp in [0.5, 1.5).  The
+    parameters of all n images are drawn in one batch per kind.
+
     The ramps put energy in many frequencies, so Sobolev multipliers act on
     nontrivial spectra.
     """
     h, w = RECT_SHAPE
-    out = np.zeros((n, h, w))
-    yy, xx = np.mgrid[0:h, 0:w]
-    for k in range(n):
-        y0, y1 = np.sort(rng.integers(0, h, size=2))
-        x0, x1 = np.sort(rng.integers(0, w, size=2))
-        y1 = max(y1, y0 + 2)
-        x1 = max(x1, x0 + 2)
-        mask = (yy >= y0) & (yy < y1) & (xx >= x0) & (xx < x1)
-        direction = rng.standard_normal(2)
-        direction /= np.linalg.norm(direction) + 1e-12
-        ramp = (direction[0] * (yy - y0) + direction[1] * (xx - x0)) / max(h, w)
-        amp = 0.5 + rng.random()
-        out[k][mask] = amp * (0.5 + ramp[mask])
+    ys = np.sort(rng.integers(0, h, size=(n, 2)), axis=1)
+    xs = np.sort(rng.integers(0, w, size=(n, 2)), axis=1)
+    direction = rng.standard_normal((n, 2))
+    direction /= np.linalg.norm(direction, axis=1, keepdims=True) + 1e-12
+    amp = 0.5 + rng.random(n)
+    y0, x0 = ys[:, :1], xs[:, :1]
+    y1 = np.maximum(ys[:, 1:], y0 + 2)
+    x1 = np.maximum(xs[:, 1:], x0 + 2)
+    yy, xx = np.arange(h), np.arange(w)
+    out = (direction[:, :1] * (yy - y0))[:, :, None] \
+        + (direction[:, 1:] * (xx - x0))[:, None, :]
+    out /= max(h, w)
+    out += 0.5
+    out *= amp[:, None, None]
+    inside = ((yy >= y0) & (yy < y1))[:, :, None] & ((xx >= x0) & (xx < x1))[:, None, :]
+    np.copyto(out, 0.0, where=~inside)
     return out.reshape(n, h * w)
 
 

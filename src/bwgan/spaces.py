@@ -226,12 +226,7 @@ def sobolev_multiplier(x, s: float, frequency_scale: float = 5.0) -> np.ndarray:
 def _sobolev_rows(X, space: SpaceSpec, s):
     """Multiplier applied to rows of flattened signals."""
     mult = sobolev_weights(space.signal_shape, float(s), float(space.frequency_scale))
-    shape = space.signal_shape
-    axes = tuple(range(-1 if len(shape) == 1 else -2, 0))
-    v = X.reshape((X.shape[0],) + shape)
-    spec = np.fft.fftn(v, axes=axes, norm="ortho") * mult
-    out = np.fft.ifftn(spec, axes=axes, norm="ortho").real
-    return out.reshape(X.shape)
+    return ad.fourier_multiply(X, space.signal_shape, ad.half_spectrum(mult))
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +398,15 @@ def dual_norm_maximizer(space: SpaceSpec, g) -> np.ndarray:
 # Graph builders (differentiable norms over batched rows)
 # ---------------------------------------------------------------------------
 
+def _check_graph_exponent(p):
+    # (sum |x_i|^p)^(1/p) at p = inf would compute |x|^inf and then the
+    # power 0, which is 1 for every row; the max is not built as a graph
+    if np.isinf(p):
+        raise SpaceError("graph norms are not implemented for p = inf")
+
+
 def _lp_rows_node(x, p, measure, n):
+    _check_graph_exponent(p)
     total = ad.sum_rows(ad.abs_pow(x, p))
     if measure == "normalized":
         total = total * (1.0 / n)
@@ -422,6 +425,7 @@ def norm_rows(space: SpaceSpec, x: ad.Node) -> ad.Node:
         return _lp_rows_node(y, space.p, space.measure, n)
     if space.family == "weighted":
         return norm_rows(space.base, ad.mul(x, ad.Constant(space.weight)))
+    _check_graph_exponent(space.p)
     total = None
     offset = 0
     for sub, size in space.factors:

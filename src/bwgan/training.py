@@ -282,8 +282,9 @@ class TrainConfig:
             raise ValueError("invalid batch size or iteration count")
         for name in ("lam", "gamma"):
             v = getattr(self, name)
-            if v != "auto" and not (isinstance(v, (int, float)) and v > 0):
-                raise ValueError(f"{name} must be positive or 'auto'")
+            if v != "auto" and (isinstance(v, bool)
+                                or not isinstance(v, (int, float)) or not v > 0):
+                raise ValueError(f"{name} must be positive or 'auto', got {v!r}")
         if not (isinstance(self.activation, str) and self.activation in ACTIVATIONS):
             raise ValueError(f"unknown activation {self.activation!r}; "
                              f"expected one of {sorted(ACTIVATIONS)}")
@@ -358,10 +359,13 @@ def train(config: TrainConfig):
     """Run the adversarial loop; returns (generator, critic, metrics).
 
     Each generator step is preceded by ``n_critic`` critic steps on fresh
-    batches.  Deterministic for a fixed seed.  Raises DivergenceError with
-    metrics so far if the loss becomes non-finite.
+    batches.  Deterministic for a fixed seed.  The exact-W1 monitor draws
+    from its own generator, so ``w1_every`` does not change the training
+    trajectory.  Raises DivergenceError with metrics so far if the loss
+    becomes non-finite.
     """
     rng = np.random.default_rng(config.seed)
+    monitor_rng = np.random.default_rng([config.seed, 1])
     sampler = datasets.make_sampler(config.dataset)
     dim = datasets.dataset_dim(config.dataset)
 
@@ -404,7 +408,7 @@ def train(config: TrainConfig):
 
         w1 = None
         if config.w1_every > 0 and it % config.w1_every == 0:
-            w1 = minibatch_w1(config, rng, sampler, generator)
+            w1 = minibatch_w1(config, monitor_rng, sampler, generator)
 
         metrics.append(it, c_metrics["loss"], g_loss, c_metrics["penalty"],
                        c_metrics["dn_mean"], c_metrics["drift"], w1, lr,

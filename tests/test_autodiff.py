@@ -236,3 +236,49 @@ def test_unsupported_broadcast_rejected():
     b = ad.Input((3, 2), name="b")
     with pytest.raises(ad.ShapeError):
         ad.add(a, b)
+
+
+def even_multiplier(rng, spatial_shape):
+    """A random multiplier m with m(xi) = m(-xi) on the FFT grid of the
+    trailing one or two axes."""
+    lengths = spatial_shape[-1:] if len(spatial_shape) == 1 else spatial_shape[-2:]
+    r = rng.uniform(0.5, 2.0, size=lengths)
+    flip = np.ix_(*[(-np.arange(n)) % n for n in lengths])
+    return r + r[flip]
+
+
+@pytest.mark.parametrize("spatial_shape", [(8,), (16, 16), (2, 8, 8), (6,)])
+@pytest.mark.parametrize("batch", [(), (3,)], ids=["single", "batched"])
+def test_fourier_multiplier_matches_complex_fft(spatial_shape, batch):
+    rng = np.random.default_rng(len(spatial_shape) * 100 + spatial_shape[-1])
+    mult = even_multiplier(rng, spatial_shape)
+    size = int(np.prod(spatial_shape))
+    x0 = rng.standard_normal(batch + (size,))
+    x = ad.Input(x0.shape, name="x")
+    got = ad.evaluate(ad.fourier_multiplier(x, spatial_shape, mult), {x: x0})
+    axes = tuple(range(-mult.ndim, 0))
+    v = x0.reshape(batch + spatial_shape)
+    want = np.fft.ifftn(mult * np.fft.fftn(v, axes=axes), axes=axes).real
+    assert got.shape == x0.shape
+    np.testing.assert_allclose(got, want.reshape(x0.shape), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("spatial_shape", [(8,), (16, 16), (2, 8, 8), (6,)])
+def test_fourier_multiplier_is_self_adjoint(spatial_shape):
+    rng = np.random.default_rng(spatial_shape[-1])
+    mult = even_multiplier(rng, spatial_shape)
+    size = int(np.prod(spatial_shape))
+    x0, y0 = rng.standard_normal((2, size))
+    x = ad.Input((size,), name="x")
+    op = ad.fourier_multiplier(x, spatial_shape, mult)
+    mx = ad.evaluate(op, {x: x0})
+    my = ad.evaluate(op, {x: y0})
+    assert np.dot(mx, y0) == pytest.approx(np.dot(x0, my), rel=0, abs=1e-12)
+
+
+def test_step_gradient_is_zeros():
+    x = ad.Input((3, 4), name="x")
+    g = ad.grad(ad.sum_all(ad.step(x)), x)
+    got = ad.evaluate(g, {x: np.linspace(-1.0, 1.0, 12).reshape(3, 4)})
+    assert got.shape == (3, 4)
+    assert not np.any(got)

@@ -238,6 +238,18 @@ def test_train_rejects_bad_field_value(tmp_path, capsys, key, value):
     assert key in err
 
 
+@pytest.mark.parametrize("key", ["lambda", "gamma"])
+def test_train_rejects_bool_lambda_gamma(tmp_path, capsys, key):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(tiny_config_doc(tmp_path / "run",
+                                                 total_iterations=2,
+                                                 **{key: True})))
+    assert cli.main(["train", str(config)]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+
+
 def test_train_rejects_malformed_json(tmp_path, capsys):
     config = tmp_path / "run.json"
     config.write_text("{not json")

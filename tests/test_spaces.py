@@ -105,6 +105,18 @@ def test_linf_dual_is_l1():
         assert attained == pytest.approx(dual, rel=1e-12)
 
 
+@pytest.mark.parametrize("space", [
+    spaces.lp_space(np.inf),
+    spaces.weighted_space(spaces.lp_space(np.inf), np.full(3, 2.0)),
+    spaces.product_space([(spaces.lp_space(2.0), 1), (spaces.lp_space(2.0), 2)],
+                         p=np.inf),
+], ids=["linf", "weighted-linf", "product-inf"])
+def test_graph_norm_rejects_infinite_exponent(space):
+    x = ad.Input((2, 3), name="x")
+    with pytest.raises(spaces.SpaceError):
+        spaces.norm_rows(space, x)
+
+
 # ---------------------------------------------------------------------------
 # Norm axioms
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bwgan import autodiff as ad
 from bwgan import spaces, training
 from bwgan.nets import Critic, Generator
 from bwgan.training import Adam, CriticLossGraph, GeneratorLossGraph, TrainConfig
@@ -231,6 +232,10 @@ def test_config_validation():
         tiny_config(lam=-1.0)
     with pytest.raises(ValueError):
         tiny_config(lam="later")
+    with pytest.raises(ValueError):
+        tiny_config(lam=True)
+    with pytest.raises(ValueError):
+        tiny_config(gamma=True)
 
 
 def test_resolve_parameters_passthrough_and_auto():
@@ -276,6 +281,23 @@ def test_train_is_deterministic():
         _, _, metrics = training.train(tiny_config(seed=42))
         runs.append((metrics.critic_loss, metrics.gen_loss, metrics.exact_w1))
     assert runs[0] == runs[1]
+
+
+def test_w1_monitor_leaves_trajectory_unchanged():
+    _, _, monitored = training.train(tiny_config(total_iterations=60, w1_every=50))
+    _, _, plain = training.train(tiny_config(total_iterations=60, w1_every=0))
+    assert monitored.exact_w1[0] is not None and monitored.exact_w1[50] is not None
+    assert monitored.critic_loss == plain.critic_loss
+
+
+def test_relu_critic_graph_has_no_zero_constants():
+    critic = Critic(2, activation="relu", rng=np.random.default_rng(3))
+    graph = CriticLossGraph(critic, L2, 1.0, 1.0, 1e-5, 16)
+    order = ad.topo_order([graph.loss, graph.penalty, graph.dn_mean,
+                           graph.drift, *graph.grad_nodes])
+    assert any(isinstance(n, ad.Step) for n in order)
+    zeros = [n for n in order if isinstance(n, ad.Constant) and not np.any(n.value)]
+    assert zeros == []
 
 
 def test_train_linear_lr_decay():
