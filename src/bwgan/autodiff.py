@@ -3,9 +3,10 @@
 Graphs are built from immutable nodes over dense float64 tensors.  The key
 design choice is that ``grad`` returns new graph *nodes*, not detached
 numbers, so a gradient expression can itself be differentiated again
-(double backpropagation).  Evaluation walks the graph in topological order
-with a per-call cache, which makes repeated evaluation of shared
-subexpressions free and keeps results bit-identical across runs.
+(double backpropagation).  A ``Program`` compiles a graph with fixed roots
+once into a topologically ordered schedule; each call evaluates every
+shared subexpression once, keeps results bit-identical across runs and
+releases each intermediate value after its last use.
 
 Supported broadcasting is deliberately narrow: equal shapes, scalar with
 anything, and a (n,) row vector against an (m, n) matrix (bias addition).
@@ -541,7 +542,7 @@ class FourierMultiplier(Node):
     2-D operand are treated as a batch of flattened signals.  The
     multiplier is symmetric under frequency negation, so the operator is
     real and self-adjoint; the vector-Jacobian product is the operator
-    itself.
+    itself.  A multiplier that is not even to 1e-12 relative is rejected.
     """
 
     __slots__ = ("spatial_shape", "multiplier", "_half")
@@ -563,6 +564,11 @@ class FourierMultiplier(Node):
         nfft = 1 if len(spatial_shape) == 1 else 2
         if self.multiplier.shape != spatial_shape[-nfft:]:
             raise ShapeError("fourier_multiplier: multiplier/signal shape mismatch")
+        m = self.multiplier
+        reflected = np.roll(np.flip(m), 1, axis=tuple(range(m.ndim)))
+        if np.max(np.abs(m - reflected)) > 1e-12 * np.max(np.abs(m)):
+            raise GraphError("fourier_multiplier: multiplier is not even "
+                             "under xi -> -xi")
         self._half = half_spectrum(self.multiplier)
 
     def compute(self, a):
@@ -721,31 +727,79 @@ def topo_order(roots):
     return order
 
 
+class Program:
+    """A graph with fixed roots, compiled once for repeated evaluation.
+
+    Building it sorts the graph and numbers its nodes as slots.  Each step
+    records its parents' slots and the slots whose last consumer it is.
+    Calling it with ``env: {Input: array}`` runs the same ``compute`` calls
+    in the same order as a fresh walk would, so results are bit-identical.
+    It drops each intermediate value as soon as its last consumer has run,
+    which bounds the memory live at once by the graph's width, not its
+    size (the memory-sharing pass of Chen et al., arXiv:1604.06174, §3,
+    without buffer reuse).  Roots are never dropped.
+    """
+
+    def __init__(self, nodes):
+        self.single = isinstance(nodes, Node)
+        roots = [nodes] if self.single else list(nodes)
+        self.order = topo_order(roots)
+        slot = {node: i for i, node in enumerate(self.order)}
+        self.roots = [slot[r] for r in roots]
+        last_use = {}
+        for i, node in enumerate(self.order):
+            for p in node.parents:
+                last_use[slot[p]] = i
+        keep = set(self.roots)
+        dead = [[] for _ in self.order]
+        for j, i in last_use.items():
+            if j not in keep:
+                dead[i].append(j)
+        self.inputs = [(i, node) for i, node in enumerate(self.order)
+                       if isinstance(node, Input)]
+        self.steps = [(i, node, tuple(slot[p] for p in node.parents), tuple(dead[i]))
+                      for i, node in enumerate(self.order)
+                      if not isinstance(node, Input)]
+
+    def __call__(self, env, cache=None):
+        """The roots' values: one array, or a list in root order.
+
+        With a ``cache`` dict, nothing is released and every node's value
+        is written into it.
+        """
+        values = [None] * len(self.order)
+        for i, node in self.inputs:
+            values[i] = _bind(node, env)
+        release = cache is None
+        for i, node, parents, dead in self.steps:
+            values[i] = node.compute(*[values[p] for p in parents])
+            if release:
+                for d in dead:
+                    values[d] = None
+        if cache is not None:
+            cache.update(zip(self.order, values))
+        if self.single:
+            return values[self.roots[0]]
+        return [values[i] for i in self.roots]
+
+
+def _bind(node: Input, env) -> np.ndarray:
+    if node not in env:
+        raise GraphError(f"no value bound for {node!r}")
+    val = _as_array(env[node])
+    if val.shape != node.shape:
+        raise ShapeError(f"value of shape {val.shape} bound to {node!r}")
+    return val
+
+
 def evaluate(nodes, env, cache=None):
     """Evaluate one node or a list of nodes under ``env: {Input: array}``.
 
-    A shared ``cache`` dict may be passed to reuse values across calls on
-    the same immutable graph with the same inputs.
+    A one-off ``Program``; code that evaluates the same graph repeatedly
+    builds its Program once instead.  A ``cache`` dict, if given, receives
+    the value of every node.
     """
-    single = isinstance(nodes, Node)
-    roots = [nodes] if single else list(nodes)
-    cache = {} if cache is None else cache
-    for node in topo_order(roots):
-        if node in cache:
-            continue
-        if isinstance(node, Input):
-            if node not in env:
-                raise GraphError(f"no value bound for {node!r}")
-            val = _as_array(env[node])
-            if val.shape != node.shape:
-                raise ShapeError(
-                    f"value of shape {val.shape} bound to {node!r}")
-            cache[node] = val
-        else:
-            cache[node] = node.compute(*(cache[p] for p in node.parents))
-    if single:
-        return cache[nodes]
-    return [cache[n] for n in roots]
+    return Program(nodes)(env, cache)
 
 
 # ---------------------------------------------------------------------------

@@ -33,20 +33,6 @@ class CliError(Exception):
     """User-facing error; message printed, exit code 2."""
 
 
-def worker_count() -> int:
-    """Worker cap from BWGAN_THREADS, defaulting to hardware parallelism."""
-    raw = os.environ.get("BWGAN_THREADS")
-    if raw is None:
-        return os.cpu_count() or 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise CliError(f"BWGAN_THREADS must be an integer, got {raw!r}")
-    if n < 1:
-        raise CliError("BWGAN_THREADS must be >= 1")
-    return n
-
-
 # ---------------------------------------------------------------------------
 # Space flags and config schema
 # ---------------------------------------------------------------------------
@@ -353,7 +339,10 @@ def cmd_train(args) -> int:
 
 def critic_from_checkpoint(path, activation="relu") -> Critic:
     """Rebuild a critic from checkpoint tensors; widths come from shapes."""
-    tensors = checkpoint.load_tensors(path)
+    try:
+        tensors = checkpoint.load_tensors(path)
+    except OSError as exc:
+        raise CliError(f"cannot read {path}: {exc.strerror}")
     widths = []
     i = 0
     while f"critic.w{i}" in tensors:
@@ -553,9 +542,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        worker_count()  # validates BWGAN_THREADS early
         return args.func(args)
-    except CliError as exc:
+    except (CliError, checkpoint.CheckpointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -1,7 +1,8 @@
 """Small fully connected networks as reusable graph templates.
 
 Parameters live as numpy arrays bound to Input placeholders, so one graph
-per batch size is built once and re-evaluated as the parameters change.
+per batch size is built and compiled once and re-evaluated as the
+parameters change.
 """
 
 from __future__ import annotations
@@ -75,8 +76,8 @@ class GraphCritic:
     """Scalar map on flattened signals, defined by a graph template.
 
     ``build_scores`` maps a (batch, in_dim) node to a (batch,) node of
-    per-sample scores.  Graphs (forward and input gradient) are cached per
-    batch size.  ``extra_env`` supplies parameter bindings, if any.
+    per-sample scores.  Compiled graphs (forward and input gradient) are
+    cached per batch size.  ``extra_env`` supplies parameter bindings, if any.
     """
 
     def __init__(self, in_dim, build_scores, extra_env=None):
@@ -93,7 +94,7 @@ class GraphCritic:
                 raise ad.ShapeError(
                     f"critic scores must have shape ({batch},), got {scores.shape}")
             gx = ad.grad(ad.sum_all(scores), x)
-            self._cache[batch] = (x, scores, gx)
+            self._cache[batch] = (x, ad.Program(scores), ad.Program(gx))
         return self._cache[batch]
 
     def _env(self, x_node, X):
@@ -104,13 +105,13 @@ class GraphCritic:
     def value_batch(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
         x, scores, _ = self._graphs(X.shape[0])
-        return ad.evaluate(scores, self._env(x, X))
+        return scores(self._env(x, X))
 
     def input_gradient_batch(self, X) -> np.ndarray:
         """Per-row gradients d score_k / d x_k, stacked as rows."""
         X = np.asarray(X, dtype=np.float64)
         x, _, gx = self._graphs(X.shape[0])
-        return ad.evaluate(gx, self._env(x, X))
+        return gx(self._env(x, X))
 
     def value(self, x) -> float:
         return float(self.value_batch(np.asarray(x, dtype=np.float64).reshape(1, -1))[0])
@@ -146,8 +147,7 @@ class Generator:
     def _graphs(self, batch):
         if batch not in self._cache:
             z = ad.Input((batch, self.latent_dim), name="z")
-            out = self.mlp.apply(z)
-            self._cache[batch] = (z, out)
+            self._cache[batch] = (z, ad.Program(self.mlp.apply(z)))
         return self._cache[batch]
 
     def sample(self, Z) -> np.ndarray:
@@ -155,4 +155,4 @@ class Generator:
         z, out = self._graphs(Z.shape[0])
         env = self.mlp.env()
         env[z] = Z
-        return ad.evaluate(out, env)
+        return out(env)

@@ -253,13 +253,27 @@ def norm_batch(space: SpaceSpec, X) -> np.ndarray:
         return _lp_norm_rows(_sobolev_rows(X, space, space.s), space.p, space.measure)
     if space.family == "weighted":
         return norm_batch(space.base, X * space.weight)
-    # product
-    out = np.zeros(X.shape[0])
+    return _outer_norm([norm_batch(sub, X[:, cols])
+                        for sub, cols in _factor_columns(space)], space.p)
+
+
+def _factor_columns(space: SpaceSpec):
+    """(factor space, column slice) for each factor of a product space."""
     offset = 0
     for sub, size in space.factors:
-        out += norm_batch(sub, X[:, offset:offset + size]) ** space.p
+        yield sub, slice(offset, offset + size)
         offset += size
-    return out ** (1.0 / space.p)
+
+
+def _outer_norm(parts, p):
+    """(sum_i parts_i^p)^(1/p) over the factor norms of a product, or
+    their maximum at p = inf."""
+    if np.isinf(p):
+        return np.maximum.reduce(parts)
+    out = np.zeros_like(parts[0])
+    for part in parts:
+        out += part ** p
+    return out ** (1.0 / p)
 
 
 def norm(space: SpaceSpec, x) -> float:
@@ -286,14 +300,8 @@ def pairwise_norms(space: SpaceSpec, X, Y) -> np.ndarray:
                             space.p, space.measure)
     if space.family == "weighted":
         return pairwise_norms(space.base, X * space.weight, Y * space.weight)
-    # product
-    out = np.zeros((X.shape[0], Y.shape[0]))
-    offset = 0
-    for sub, size in space.factors:
-        cols = slice(offset, offset + size)
-        out += pairwise_norms(sub, X[:, cols], Y[:, cols]) ** space.p
-        offset += size
-    return out ** (1.0 / space.p)
+    return _outer_norm([pairwise_norms(sub, X[:, cols], Y[:, cols])
+                        for sub, cols in _factor_columns(space)], space.p)
 
 
 def _lp_pairwise(X, Y, p, measure):
@@ -323,13 +331,8 @@ def dual_norm_batch(space: SpaceSpec, G) -> np.ndarray:
         return vals
     if space.family == "weighted":
         return dual_norm_batch(space.base, G / space.weight)
-    # product
-    out = np.zeros(G.shape[0])
-    offset = 0
-    for sub, size in space.factors:
-        out += dual_norm_batch(sub, G[:, offset:offset + size]) ** q
-        offset += size
-    return out ** (1.0 / q)
+    return _outer_norm([dual_norm_batch(sub, G[:, cols])
+                        for sub, cols in _factor_columns(space)], q)
 
 
 def dual_norm(space: SpaceSpec, g) -> float:
@@ -383,14 +386,11 @@ def dual_norm_maximizer(space: SpaceSpec, g) -> np.ndarray:
         return dual_norm_maximizer(space.base, g / space.weight) / space.weight
     # product: scale per-factor maximizers by d_i^(q-1) / ||h_i||
     out = np.zeros_like(g)
-    offset = 0
-    for sub, size in space.factors:
-        gi = g[offset:offset + size]
-        di = dual_norm(sub, gi)
+    for sub, cols in _factor_columns(space):
+        di = dual_norm(sub, g[cols])
         if di > 0.0:
-            hi = dual_norm_maximizer(sub, gi)
-            out[offset:offset + size] = hi * (di ** (q - 1.0) / norm(sub, hi))
-        offset += size
+            hi = dual_norm_maximizer(sub, g[cols])
+            out[cols] = hi * (di ** (q - 1.0) / norm(sub, hi))
     return out
 
 
@@ -427,12 +427,10 @@ def norm_rows(space: SpaceSpec, x: ad.Node) -> ad.Node:
         return norm_rows(space.base, ad.mul(x, ad.Constant(space.weight)))
     _check_graph_exponent(space.p)
     total = None
-    offset = 0
-    for sub, size in space.factors:
-        part = ad.abs_pow(norm_rows(sub, ad.slice_cols(x, offset, offset + size)),
+    for sub, cols in _factor_columns(space):
+        part = ad.abs_pow(norm_rows(sub, ad.slice_cols(x, cols.start, cols.stop)),
                           space.p)
         total = part if total is None else ad.add(total, part)
-        offset += size
     return ad.abs_pow(total, 1.0 / space.p)
 
 
@@ -456,12 +454,10 @@ def dual_norm_rows(space: SpaceSpec, g: ad.Node) -> ad.Node:
     if space.family == "weighted":
         return dual_norm_rows(space.base, ad.mul(g, ad.Constant(1.0 / space.weight)))
     total = None
-    offset = 0
-    for sub, size in space.factors:
-        part = ad.abs_pow(dual_norm_rows(sub, ad.slice_cols(g, offset, offset + size)),
+    for sub, cols in _factor_columns(space):
+        part = ad.abs_pow(dual_norm_rows(sub, ad.slice_cols(g, cols.start, cols.stop)),
                           q)
         total = part if total is None else ad.add(total, part)
-        offset += size
     return ad.abs_pow(total, 1.0 / q)
 
 

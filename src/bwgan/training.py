@@ -136,7 +136,8 @@ class Adam:
 # ---------------------------------------------------------------------------
 
 class CriticLossGraph:
-    """Critic loss, metrics and parameter gradients as one shared graph."""
+    """Critic loss, metrics and parameter gradients as one shared graph,
+    compiled once."""
 
     def __init__(self, critic: Critic, space: SpaceSpec, lam: float,
                  gamma: float, drift: float, batch: int):
@@ -167,6 +168,9 @@ class CriticLossGraph:
         self.param_names = critic.mlp.param_names()
         param_nodes = [critic.mlp.nodes[k] for k in self.param_names]
         self.grad_nodes = ad.grad(self.loss, param_nodes)
+        metrics = [self.loss, self.penalty, self.dn_mean, self.drift]
+        self._metrics = ad.Program(metrics)
+        self._metrics_and_grads = ad.Program(metrics + self.grad_nodes)
 
     def _env(self, real, fake, xhat):
         env = self.critic.mlp.env()
@@ -176,15 +180,12 @@ class CriticLossGraph:
         return env
 
     def losses(self, real, fake, xhat) -> dict:
-        vals = ad.evaluate([self.loss, self.penalty, self.dn_mean, self.drift],
-                           self._env(real, fake, xhat))
+        vals = self._metrics(self._env(real, fake, xhat))
         return {"loss": float(vals[0]), "penalty": float(vals[1]),
                 "dn_mean": float(vals[2]), "drift": float(vals[3])}
 
     def losses_and_grads(self, real, fake, xhat):
-        nodes = [self.loss, self.penalty, self.dn_mean, self.drift,
-                 *self.grad_nodes]
-        vals = ad.evaluate(nodes, self._env(real, fake, xhat))
+        vals = self._metrics_and_grads(self._env(real, fake, xhat))
         metrics = {"loss": float(vals[0]), "penalty": float(vals[1]),
                    "dn_mean": float(vals[2]), "drift": float(vals[3])}
         grads = dict(zip(self.param_names, vals[4:]))
@@ -206,6 +207,8 @@ class GeneratorLossGraph:
         self.param_names = generator.mlp.param_names()
         param_nodes = [generator.mlp.nodes[k] for k in self.param_names]
         self.grad_nodes = ad.grad(self.loss, param_nodes)
+        self._loss = ad.Program(self.loss)
+        self._loss_and_grads = ad.Program([self.loss, *self.grad_nodes])
 
     def _env(self, Z):
         env = self.generator.mlp.env()
@@ -214,10 +217,10 @@ class GeneratorLossGraph:
         return env
 
     def loss_value(self, Z) -> float:
-        return float(ad.evaluate(self.loss, self._env(Z)))
+        return float(self._loss(self._env(Z)))
 
     def loss_and_grads(self, Z):
-        vals = ad.evaluate([self.loss, *self.grad_nodes], self._env(Z))
+        vals = self._loss_and_grads(self._env(Z))
         return float(vals[0]), dict(zip(self.param_names, vals[1:]))
 
 

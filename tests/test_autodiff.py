@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -182,7 +184,7 @@ OP_CASES = [
     ("sqrt", lambda x: ad.sum_all(ad.sqrt(x)), (5,), "positive"),
     ("reciprocal", lambda x: ad.sum_all(ad.reciprocal(x)), (5,), "positive"),
     ("slice_pad", lambda x: ad.sum_all(ad.mul(ad.slice_cols(x, 1, 3), ad.slice_cols(x, 1, 3))), (2, 4), None),
-    ("fourier", lambda x: ad.sum_all(ad.mul(y := ad.fourier_multiplier(x, (2, 4), (1.0 + np.arange(8.0).reshape(2, 4))), y)), (3, 8), None),
+    ("fourier", lambda x: ad.sum_all(ad.mul(y := ad.fourier_multiplier(x, (2, 4), even_multiplier(np.random.default_rng(0), (2, 4))), y)), (3, 8), None),
 ]
 
 
@@ -276,9 +278,83 @@ def test_fourier_multiplier_is_self_adjoint(spatial_shape):
     assert np.dot(mx, y0) == pytest.approx(np.dot(x0, my), rel=0, abs=1e-12)
 
 
+def test_fourier_multiplier_rejects_uneven_multiplier():
+    x = ad.Input((3, 8), name="x")
+    with pytest.raises(ad.GraphError, match="even"):
+        ad.fourier_multiplier(x, (2, 4), 1.0 + np.arange(8.0).reshape(2, 4))
+
+
 def test_step_gradient_is_zeros():
     x = ad.Input((3, 4), name="x")
     g = ad.grad(ad.sum_all(ad.step(x)), x)
     got = ad.evaluate(g, {x: np.linspace(-1.0, 1.0, 12).reshape(3, 4)})
     assert got.shape == (3, 4)
     assert not np.any(got)
+
+
+# ---------------------------------------------------------------------------
+# Compiled programs
+# ---------------------------------------------------------------------------
+
+def test_program_returns_a_root_that_another_root_consumes():
+    x = ad.Input((2, 3), name="x")
+    inner = ad.tanh(x)
+    outer = ad.sum_all(ad.mul(inner, inner))
+    x0 = np.linspace(-1.0, 1.0, 6).reshape(2, 3)
+    got_outer, got_inner = ad.Program([outer, inner])({x: x0})
+    np.testing.assert_array_equal(got_inner, np.tanh(x0))
+    assert got_outer == np.sum(np.tanh(x0) * np.tanh(x0))
+    np.testing.assert_array_equal(ad.Program(inner)({x: x0}), np.tanh(x0))
+
+
+class Watch(ad.Node):
+    """Keeps a weak reference to its operand's value."""
+
+    def __init__(self, a, refs):
+        super().__init__((), (a,))
+        self.refs = refs
+
+    def compute(self, a):
+        self.refs.append(weakref.ref(a))
+        return np.zeros(())
+
+
+class Probe(ad.Node):
+    """Records whether the watched value is still alive when it runs."""
+
+    def __init__(self, a, b, refs, alive):
+        super().__init__((), (a, b))
+        self.refs, self.alive = refs, alive
+
+    def compute(self, a, b):
+        self.alive.append(self.refs[-1]() is not None)
+        return a + b
+
+
+def test_program_releases_a_value_after_its_last_consumer():
+    refs, alive = [], []
+    x = ad.Input((3,), name="x")
+    upstream = ad.tanh(x)
+    last_consumer = ad.sum_all(upstream)
+    # runs after last_consumer: the schedule is x, upstream, Watch, last_consumer, Probe
+    root = Probe(Watch(upstream, refs), last_consumer, refs, alive)
+    program = ad.Program(root)
+    assert float(program({x: np.ones(3)})) == pytest.approx(3 * np.tanh(1.0))
+    assert alive == [False]
+    cache = {}
+    ad.evaluate(root, {x: np.ones(3)}, cache)
+    assert alive == [False, True]
+
+
+def test_evaluate_fills_cache_with_every_value():
+    x = ad.Input((2, 2), name="x")
+    h = ad.relu(ad.matmul(x, ad.Constant(np.array([[1.0, -1.0], [2.0, 0.5]]))))
+    out = ad.sum_all(h)
+    gx = ad.grad(out, x)
+    x0 = np.array([[1.0, -2.0], [0.5, 3.0]])
+    cache = {}
+    got_out, got_gx = ad.evaluate([out, gx], {x: x0}, cache)
+    assert set(cache) == set(ad.topo_order([out, gx]))
+    np.testing.assert_array_equal(cache[x], x0)
+    np.testing.assert_array_equal(cache[h], np.maximum(x0 @ [[1.0, -1.0], [2.0, 0.5]], 0.0))
+    assert cache[out] is got_out and cache[gx] is got_gx

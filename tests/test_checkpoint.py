@@ -60,3 +60,23 @@ def test_rejects_unknown_version(tmp_path):
     path.write_bytes(bytes(raw))
     with pytest.raises(checkpoint.CheckpointError):
         checkpoint.load_tensors(path)
+
+
+def test_every_truncation_raises_checkpoint_error(tmp_path):
+    path = tmp_path / "model.ckpt"
+    checkpoint.save_tensors(path, {"w": np.arange(6.0).reshape(2, 3), "b": np.zeros(3)})
+    data = path.read_bytes()
+    for n in range(len(data)):
+        path.write_bytes(data[:n])
+        with pytest.raises(checkpoint.CheckpointError):
+            checkpoint.load_tensors(path)
+
+
+def test_rejects_name_that_is_not_utf8(tmp_path):
+    path = tmp_path / "model.ckpt"
+    checkpoint.save_tensors(path, {"a": np.zeros(2)})
+    raw = bytearray(path.read_bytes())
+    raw[16] = 0xFF  # the first byte of the first name
+    path.write_bytes(bytes(raw))
+    with pytest.raises(checkpoint.CheckpointError, match="UTF-8"):
+        checkpoint.load_tensors(path)

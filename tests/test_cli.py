@@ -321,15 +321,31 @@ def test_critic_from_checkpoint_rejects_generator(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Environment handling
+# Corrupt checkpoints
 # ---------------------------------------------------------------------------
 
-def test_worker_count_env(monkeypatch, capsys):
-    monkeypatch.setenv("BWGAN_THREADS", "4")
-    assert cli.worker_count() == 4
-    monkeypatch.setenv("BWGAN_THREADS", "abc")
-    assert cli.main(["verify", "--suite", "sobolev0"]) == cli.EXIT_USAGE
-    monkeypatch.setenv("BWGAN_THREADS", "0")
-    assert cli.main(["verify", "--suite", "sobolev0"]) == cli.EXIT_USAGE
-    monkeypatch.delenv("BWGAN_THREADS")
-    assert cli.worker_count() >= 1
+CORRUPTIONS = {
+    "cut-at-10": lambda data: data[:10],
+    "cut-at-30": lambda data: data[:30],
+    "cut-5-short": lambda data: data[:-5],
+    "bad-magic": lambda data: b"XXXX" + data[4:],
+}
+
+
+@pytest.mark.parametrize("corrupt", list(CORRUPTIONS.values()), ids=list(CORRUPTIONS))
+def test_check_dual_with_corrupt_checkpoint_exits_2(tmp_path, capsys, corrupt):
+    critic = Critic(2, (8,), "relu", rng=np.random.default_rng(3))
+    ckpt = tmp_path / "critic.ckpt"
+    checkpoint.save_tensors(ckpt, critic.mlp.params)
+    ckpt.write_bytes(corrupt(ckpt.read_bytes()))
+    mu = write_measure(tmp_path, [[0.5, 0.0, 0.0], [0.5, 1.0, 1.0]], "mu.txt")
+    assert cli.main(["wasserstein", mu, mu, "--check-dual", str(ckpt)]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def test_check_dual_with_missing_checkpoint_exits_2(tmp_path, capsys):
+    mu = write_measure(tmp_path, [[1.0, 0.0, 0.0]], "mu.txt")
+    missing = str(tmp_path / "missing.ckpt")
+    assert cli.main(["wasserstein", mu, mu, "--check-dual", missing]) == cli.EXIT_USAGE
+    assert len(capsys.readouterr().err.splitlines()) == 1

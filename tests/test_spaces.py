@@ -277,6 +277,34 @@ def test_product_norm_combines_factors():
     assert spaces.norm(prod, x) == pytest.approx(expected, rel=1e-12)
 
 
+def product_inf():
+    return spaces.product_space([(spaces.lp_space(2), 2), (spaces.lp_space(2), 2)],
+                                p=np.inf)
+
+
+def test_product_outer_inf_takes_max_of_factor_norms():
+    space = product_inf()
+    X = np.array([[3.0, 4.0, 0.0, 1.0], [0.0, 0.0, 5.0, 12.0]])
+    np.testing.assert_array_equal(spaces.norm_batch(space, X), [5.0, 13.0])
+    np.testing.assert_array_equal(
+        spaces.pairwise_norms(space, X, np.zeros((1, 4)))[:, 0], [5.0, 13.0])
+
+
+def test_product_outer_inf_hoelder_inequality_and_maximizer():
+    space = product_inf()
+    rng = np.random.default_rng(24)
+    for _ in range(20):
+        g = rng.standard_normal(4)
+        dual = spaces.dual_norm(space, g)
+        assert dual == pytest.approx(np.linalg.norm(g[:2]) + np.linalg.norm(g[2:]),
+                                     rel=1e-12)
+        x = rng.standard_normal(4)
+        assert abs(spaces.pairing(g, x)) <= dual * spaces.norm(space, x) + 1e-12
+        h = spaces.dual_norm_maximizer(space, g)
+        attained = spaces.pairing(g, h) / spaces.norm(space, h)
+        assert attained == pytest.approx(dual, rel=1e-12)
+
+
 def test_normalized_measure_rescales_counting_norm():
     rng = np.random.default_rng(21)
     p = 2.5

@@ -300,6 +300,88 @@ def test_relu_critic_graph_has_no_zero_constants():
     assert zeros == []
 
 
+def reference_walk(roots, env):
+    """The roots' values from a plain walk: sort the graph, compute every
+    node in order and keep every value."""
+    values = {}
+    for node in ad.topo_order(roots):
+        if isinstance(node, ad.Input):
+            values[node] = np.asarray(env[node], dtype=np.float64)
+        else:
+            values[node] = node.compute(*(values[p] for p in node.parents))
+    return [values[r] for r in roots]
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+@pytest.mark.parametrize("space", [L2, spaces.sobolev_space(1.0, 2.0, (4, 4))],
+                         ids=["L2", "W12"])
+def test_loss_graphs_bit_equal_to_reference_walk(activation, space):
+    rng = np.random.default_rng(8)
+    b, dim = 8, 16
+    critic = Critic(dim, (16, 16), activation, rng=rng)
+    generator = Generator(4, dim, (16, 16), activation, rng=rng)
+    c_graph = CriticLossGraph(critic, space, 2.0, 1.5, 1e-3, b)
+    real, fake, xhat = rng.standard_normal((3, b, dim))
+    metrics, grads = c_graph.losses_and_grads(real, fake, xhat)
+    want = reference_walk([c_graph.loss, c_graph.penalty, c_graph.dn_mean,
+                           c_graph.drift, *c_graph.grad_nodes],
+                          c_graph._env(real, fake, xhat))
+    assert [metrics[k] for k in ("loss", "penalty", "dn_mean", "drift")] == \
+        [float(v) for v in want[:4]]
+    for name, value in zip(c_graph.param_names, want[4:]):
+        assert np.array_equal(grads[name], value)
+    assert c_graph.losses(real, fake, xhat) == metrics
+
+    g_graph = GeneratorLossGraph(generator, critic, 1.5, b)
+    z = rng.standard_normal((b, 4))
+    loss, g_grads = g_graph.loss_and_grads(z)
+    want = reference_walk([g_graph.loss, *g_graph.grad_nodes], g_graph._env(z))
+    assert loss == float(want[0]) == g_graph.loss_value(z)
+    for name, value in zip(g_graph.param_names, want[1:]):
+        assert np.array_equal(g_grads[name], value)
+
+
+def counting(monkeypatch, owner, name):
+    """Replace ``owner.name`` by a wrapper that counts its calls."""
+    calls = []
+    original = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+def test_loss_graph_calls_do_not_sort_the_graph(monkeypatch):
+    rng = np.random.default_rng(9)
+    critic = Critic(2, (8, 8), rng=rng)
+    graph = CriticLossGraph(critic, L2, 1.0, 1.0, 1e-5, 8)
+    sorts = counting(monkeypatch, ad, "topo_order")
+    for _ in range(3):
+        graph.losses_and_grads(*rng.standard_normal((3, 8, 2)))
+    assert sorts == []
+
+
+@pytest.mark.parametrize("w1_every", [0, 1])
+def test_training_iteration_runs_eleven_programs(monkeypatch, w1_every):
+    runs = counting(monkeypatch, ad.Program, "__call__")
+    evaluations = counting(monkeypatch, ad, "evaluate")
+    sorts = counting(monkeypatch, ad, "topo_order")
+    per_iteration = []
+    for iterations in (2, 4):
+        del runs[:], sorts[:]
+        training.train(tiny_config(n_critic=5, total_iterations=iterations,
+                                   w1_every=w1_every))
+        per_iteration.append((len(runs), len(sorts)))
+    # 5 critic steps, 5 generator samples, 1 generator step, and one
+    # generator sample per monitored iteration; graphs are sorted once
+    extra = 1 if w1_every else 0
+    assert per_iteration[1][0] - per_iteration[0][0] == 2 * (11 + extra)
+    assert per_iteration[1][1] == per_iteration[0][1]
+    assert evaluations == []
+
+
 def test_train_linear_lr_decay():
     _, _, metrics = training.train(tiny_config(total_iterations=4, w1_every=0))
     np.testing.assert_allclose(metrics.lr, 1e-3 * (1.0 - np.arange(4) / 4.0))
