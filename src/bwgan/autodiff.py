@@ -362,28 +362,6 @@ class SignedAbsPow(Node):
         return mul(g, Constant(self.exponent) * abs_pow(x, self.exponent - 1.0))
 
 
-class Sqrt(Node):
-    def __init__(self, a):
-        super().__init__(a.shape, (a,))
-
-    def compute(self, a):
-        return np.sqrt(a)
-
-    def vjp(self, g, index):
-        return mul(g, Constant(0.5) * reciprocal(self))
-
-
-class Reciprocal(Node):
-    def __init__(self, a):
-        super().__init__(a.shape, (a,))
-
-    def compute(self, a):
-        return 1.0 / a
-
-    def vjp(self, g, index):
-        return neg(mul(g, mul(self, self)))
-
-
 # ---------------------------------------------------------------------------
 # Reductions and broadcasts
 # ---------------------------------------------------------------------------
@@ -636,14 +614,6 @@ def abs_pow(a, exponent):
 
 def signed_abs_pow(a, exponent):
     return SignedAbsPow(wrap(a), exponent)
-
-
-def sqrt(a):
-    return Sqrt(wrap(a))
-
-
-def reciprocal(a):
-    return Reciprocal(wrap(a))
 
 
 def sum_all(a):

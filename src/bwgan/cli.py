@@ -8,6 +8,7 @@ config error, 3 numerical divergence.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -70,10 +71,9 @@ def space_from_flags(args, flat_size=None) -> SpaceSpec:
 
 
 SPACE_KEYS = {"family", "p", "s", "frequency_scale", "measure", "signal_shape"}
-TRAIN_KEYS = {"lambda", "gamma", "latent_dim", "critic_widths", "gen_widths",
-              "activation", "n_critic", "batch_size", "total_iterations",
-              "lr", "beta1", "beta2", "linear_lr_decay", "drift_coefficient",
-              "seed", "dataset", "w1_every", "heuristic_samples"}
+# the train section holds the TrainConfig fields except space, with lam spelled lambda
+TRAIN_KEYS = {"lambda" if f.name == "lam" else f.name
+              for f in dataclasses.fields(TrainConfig) if f.name != "space"}
 OUTPUT_KEYS = {"directory", "log_every"}
 TOP_KEYS = {"space", "train", "output"}
 
@@ -106,22 +106,18 @@ def load_run_config(path):
             raise CliError(f"{where} section must be an object")
         _check_keys(section, allowed, where)
 
-    dataset = train_doc.get("dataset", "eight_gaussians")
-    try:
-        dim = datasets.dataset_dim(dataset)
-    except Exception:
-        raise CliError(f"unknown dataset {dataset!r}")
-
+    dataset = train_doc.get("dataset", TrainConfig.dataset)
     family = space_doc.get("family", "lp")
     try:
         if family == "lp":
             space = spaces.lp_space(space_doc.get("p", 2.0),
                                     space_doc.get("measure", "counting"))
         elif family == "sobolev":
-            default_shape = (16, 16) if dataset == "rectangles" else (dim,)
+            default_shape = ((16, 16) if dataset == "rectangles"
+                             else (datasets.dataset_dim(dataset),))
             space = spaces.sobolev_space(
                 space_doc.get("s", 0.0), space_doc.get("p", 2.0),
-                tuple(space_doc.get("signal_shape", default_shape)),
+                space_doc.get("signal_shape", default_shape),
                 space_doc.get("frequency_scale", 5.0),
                 space_doc.get("measure", "counting"))
         else:
@@ -130,33 +126,16 @@ def load_run_config(path):
         raise CliError(str(exc))
 
     try:
-        config = TrainConfig(
-            space=space,
-            lam=train_doc.get("lambda", "auto"),
-            gamma=train_doc.get("gamma", "auto"),
-            latent_dim=train_doc.get("latent_dim", 32),
-            critic_widths=tuple(train_doc.get("critic_widths", (128, 128, 128))),
-            gen_widths=tuple(train_doc.get("gen_widths", (128, 128, 128))),
-            activation=train_doc.get("activation", "relu"),
-            n_critic=train_doc.get("n_critic", 5),
-            batch_size=train_doc.get("batch_size", 64),
-            total_iterations=train_doc.get("total_iterations", 3000),
-            lr=train_doc.get("lr", 1e-3),
-            beta1=train_doc.get("beta1", 0.0),
-            beta2=train_doc.get("beta2", 0.9),
-            linear_lr_decay=train_doc.get("linear_lr_decay", True),
-            drift_coefficient=train_doc.get("drift_coefficient", 1e-5),
-            seed=train_doc.get("seed", 0),
-            dataset=dataset,
-            w1_every=train_doc.get("w1_every", 50),
-            heuristic_samples=train_doc.get("heuristic_samples", 1024),
-        )
+        config = TrainConfig(space=space, **{"lam" if k == "lambda" else k: v
+                                             for k, v in train_doc.items()})
     except ValueError as exc:
         raise CliError(str(exc))
     out_dir = output_doc.get("directory", "runs")
-    log_every = int(output_doc.get("log_every", 1))
-    if log_every < 1:
-        raise CliError("log_every must be >= 1")
+    log_every = output_doc.get("log_every", 1)
+    if not isinstance(out_dir, str):
+        raise CliError(f"directory must be a string, got {out_dir!r}")
+    if isinstance(log_every, bool) or not isinstance(log_every, int) or log_every < 1:
+        raise CliError(f"log_every must be an integer >= 1, got {log_every!r}")
     return config, out_dir, log_every
 
 
@@ -278,6 +257,8 @@ def cmd_heuristics(args) -> int:
         raise CliError("need --samples >= 1")
     rng = np.random.default_rng(args.seed)
     if args.dataset == "uniform_cube":
+        if args.dim < 1:
+            raise CliError("need --dim >= 1")
         sampler = uniform_cube(args.dim)
         dim = args.dim
     else:
@@ -286,22 +267,10 @@ def cmd_heuristics(args) -> int:
     space = space_from_flags(args, flat_size=dim)
     if space.p <= 1.0:
         raise CliError("heuristics need p > 1 (dual norm)")
-    # chunked to keep memory flat for large dim * samples
-    norms, duals = [], []
-    remaining = args.samples
-    while remaining > 0:
-        chunk = sampler(rng, min(remaining, 2048))
-        norms.append(spaces.norm_batch(space, chunk))
-        duals.append(spaces.dual_norm_batch(space, chunk))
-        remaining -= len(chunk)
-    norms = np.concatenate(norms)
-    duals = np.concatenate(duals)
-    n = len(norms)
-    lam_se = norms.std(ddof=1) / np.sqrt(n) if n > 1 else 0.0
-    gam_se = duals.std(ddof=1) / np.sqrt(n) if n > 1 else 0.0
-    print(f"lambda={norms.mean():.12g} stderr={lam_se:.6g}")
-    print(f"gamma={duals.mean():.12g} stderr={gam_se:.6g}")
-    print(f"samples={n}")
+    lam, lam_se, gam, gam_se = training.heuristic_stats(sampler, rng, args.samples, space)
+    print(f"lambda={lam:.12g} stderr={lam_se:.6g}")
+    print(f"gamma={gam:.12g} stderr={gam_se:.6g}")
+    print(f"samples={args.samples}")
     return EXIT_OK
 
 

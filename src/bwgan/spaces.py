@@ -16,7 +16,8 @@ N^(1/p) on the counting q-norm.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -57,14 +58,25 @@ class SpaceSpec:
             raise SpaceError(f"unknown family {self.family!r}")
         if self.measure not in MEASURES:
             raise SpaceError(f"unknown measure {self.measure!r}")
+        for name in ("p", "s", "frequency_scale"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise SpaceError(f"{name} must be a number, got {value!r}")
         if not (self.p >= 1.0):
             raise SpaceError(f"exponent p must be >= 1, got {self.p}")
         if self.family == "sobolev":
-            if self.signal_shape is None:
-                raise SpaceError("sobolev space needs a signal_shape")
-            if not (self.frequency_scale > 0):
-                raise SpaceError("frequency_scale must be positive")
-            self.signal_shape = tuple(int(d) for d in self.signal_shape)
+            shape = self.signal_shape
+            if not (isinstance(shape, (tuple, list)) and shape and all(
+                    isinstance(d, numbers.Integral) and not isinstance(d, bool)
+                    for d in shape)):
+                raise SpaceError(f"sobolev signal_shape must be a list of integers, "
+                                 f"got {shape!r}")
+            if not np.isfinite(self.s):
+                raise SpaceError(f"s must be finite, got {self.s}")
+            if not 0 < self.frequency_scale < np.inf:
+                raise SpaceError(f"frequency_scale must be positive and finite, "
+                                 f"got {self.frequency_scale}")
+            self.signal_shape = tuple(int(d) for d in shape)
             for n in _fft_lengths(self.signal_shape):
                 if n & (n - 1) or n == 0:
                     raise SpaceError(
@@ -96,7 +108,7 @@ def lp_space(p=2.0, measure="counting") -> SpaceSpec:
 
 def sobolev_space(s, p=2.0, signal_shape=(16, 16), frequency_scale=5.0,
                   measure="counting") -> SpaceSpec:
-    return SpaceSpec("sobolev", p=p, s=s, signal_shape=tuple(signal_shape),
+    return SpaceSpec("sobolev", p=p, s=s, signal_shape=signal_shape,
                      frequency_scale=frequency_scale, measure=measure)
 
 
@@ -153,24 +165,13 @@ def dual_exponent(p: float) -> float:
 
 def lp_norm(x, p: float, measure: str = "counting") -> float:
     """(sum |x_i|^p)^(1/p), or the averaged variant for ``normalized``."""
-    x = np.asarray(x, dtype=np.float64).ravel()
-    if not p >= 1.0:
-        raise SpaceError(f"lp_norm requires p >= 1, got {p}")
-    if np.isinf(p):
-        return float(np.max(np.abs(x))) if x.size else 0.0
-    total = float(np.sum(np.abs(x) ** p))
-    if measure == "normalized":
-        total /= x.size
-    return total ** (1.0 / p)
+    return norm(lp_space(p, measure), x)
 
 
-def _lp_norm_rows(X, p, measure):
+def _lp_norm_rows(X, p):
     if np.isinf(p):
         return np.max(np.abs(X), axis=1)
-    total = np.sum(np.abs(X) ** p, axis=1)
-    if measure == "normalized":
-        total = total / X.shape[1]
-    return total ** (1.0 / p)
+    return np.sum(np.abs(X) ** p, axis=1) ** (1.0 / p)
 
 
 # ---------------------------------------------------------------------------
@@ -206,55 +207,40 @@ def sobolev_weights(spatial_shape: tuple, s: float, frequency_scale: float):
 def sobolev_multiplier(x, s: float, frequency_scale: float = 5.0) -> np.ndarray:
     """Apply F^-1 [(1 + |xi|^2)^(s/2) F x] over the trailing spatial axes.
 
-    ``x`` may be (n,), (h, w) or (c, h, w); the output is real, and the
-    discarded imaginary residue is verified to be below 1e-10.
+    ``x`` may be (n,), (h, w) or (c, h, w); the output is real.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim not in (1, 2, 3):
         raise SpaceError(f"unsupported signal rank {x.ndim}")
     mult = sobolev_weights(x.shape, float(s), float(frequency_scale))
-    axes = tuple(range(-1 if x.ndim == 1 else -2, 0))
-    spec = np.fft.fftn(x, axes=axes, norm="ortho") * mult
-    out = np.fft.ifftn(spec, axes=axes, norm="ortho")
-    residue = np.max(np.abs(out.imag)) if out.size else 0.0
-    scale = max(1.0, float(np.max(np.abs(x))) if x.size else 1.0)
-    if residue > 1e-10 * scale:
-        raise SpaceError(f"imaginary residue {residue:.3e} exceeds tolerance")
-    return np.ascontiguousarray(out.real)
-
-
-def _sobolev_rows(X, space: SpaceSpec, s):
-    """Multiplier applied to rows of flattened signals."""
-    mult = sobolev_weights(space.signal_shape, float(s), float(space.frequency_scale))
-    return ad.fourier_multiply(X, space.signal_shape, ad.half_spectrum(mult))
+    return ad.fourier_multiply(x.ravel(), x.shape, ad.half_spectrum(mult)).reshape(x.shape)
 
 
 # ---------------------------------------------------------------------------
-# Norms (numeric, batched over rows of flattened signals)
+# Norms: one recursion over three op sets
 # ---------------------------------------------------------------------------
 
-def _check_rows(space: SpaceSpec, X):
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2:
-        raise SpaceError(f"expected rows of flattened signals, got shape {X.shape}")
-    expected = space.size
-    if expected is not None and X.shape[1] != expected:
-        raise SpaceError(
-            f"signal size {X.shape[1]} does not match space size {expected}")
-    return X
+def _norm(space: SpaceSpec, x, ops, dual: bool):
+    """Per-row norm, or dual norm, of the operand ``x`` in ``space``.
 
-
-def norm_batch(space: SpaceSpec, X) -> np.ndarray:
-    """Norms of a batch of flattened signals, one per row."""
-    X = _check_rows(space, X)
-    if space.family == "lp":
-        return _lp_norm_rows(X, space.p, space.measure)
-    if space.family == "sobolev":
-        return _lp_norm_rows(_sobolev_rows(X, space, space.s), space.p, space.measure)
+    Each family is written once.  The dual of a weighted space divides by
+    the weight, the dual of a product combines the factor duals with the
+    conjugate exponent, the dual of W^{s,p} applies the order -s multiplier
+    before the L^q norm, and a normalized measure scales the leaf norm by
+    n^(-1/p), or its dual by n^(1/p).  ``ops`` says what an operand is.
+    """
     if space.family == "weighted":
-        return norm_batch(space.base, X * space.weight)
-    return _outer_norm([norm_batch(sub, X[:, cols])
-                        for sub, cols in _factor_columns(space)], space.p)
+        return _norm(space.base, ops.scale(x, space.weight, dual), ops, dual)
+    p = dual_exponent(space.p) if dual else space.p
+    if space.family == "product":
+        return ops.outer([_norm(sub, ops.cols(x, cols), ops, dual)
+                          for sub, cols in _factor_columns(space)], p)
+    if space.family == "sobolev":
+        x = ops.fourier(x, space, -space.s if dual else space.s)
+    vals = ops.lp(x, p)
+    if space.measure == "normalized":
+        vals = vals * ops.width(x) ** ((1.0 if dual else -1.0) / space.p)
+    return vals
 
 
 def _factor_columns(space: SpaceSpec):
@@ -265,74 +251,146 @@ def _factor_columns(space: SpaceSpec):
         offset += size
 
 
-def _outer_norm(parts, p):
-    """(sum_i parts_i^p)^(1/p) over the factor norms of a product, or
-    their maximum at p = inf."""
+class _Rows:
+    """Numeric operand: a (batch, size) array, one norm per row."""
+
+    def apply(self, x, f):
+        return f(x)
+
+    def width(self, x):
+        return x.shape[1]
+
+    def scale(self, x, w, invert):
+        return self.apply(x, (lambda a: a / w) if invert else (lambda a: a * w))
+
+    def cols(self, x, cols):
+        return self.apply(x, lambda a: a[:, cols])
+
+    def fourier(self, x, space, s):
+        mult = sobolev_weights(space.signal_shape, float(s), float(space.frequency_scale))
+        half = ad.half_spectrum(mult)
+        return self.apply(x, lambda a: ad.fourier_multiply(a, space.signal_shape, half))
+
+    def lp(self, x, p):
+        return _lp_norm_rows(x, p)
+
+    def outer(self, parts, p):
+        """(sum_i parts_i^p)^(1/p) over the factor norms of a product, or
+        their maximum at p = inf."""
+        if np.isinf(p):
+            return np.maximum.reduce(parts)
+        out = np.zeros_like(parts[0])
+        for part in parts:
+            out += part ** p
+        return out ** (1.0 / p)
+
+
+class _Pairs(_Rows):
+    """Numeric operand: a pair (X, Y), the (m, n) matrix of ||x_i - y_j||.
+
+    Every operator a norm applies before its L^p norm is linear, so it acts
+    on the m + n rows instead of the m * n differences.
+    """
+
+    def apply(self, xy, f):
+        return f(xy[0]), f(xy[1])
+
+    def width(self, xy):
+        return xy[0].shape[1]
+
+    def lp(self, xy, p):
+        X, Y = xy
+        if p == 2.0:
+            return cdist(X, Y)
+        # one row at a time, so no (m, n, size) block is allocated
+        out = np.empty((X.shape[0], Y.shape[0]))
+        for i, x in enumerate(X):
+            out[i] = _lp_norm_rows(x - Y, p)
+        return out
+
+
+def _check_graph_exponent(p):
+    # (sum |x_i|^p)^(1/p) at p = inf would compute |x|^inf and then the
+    # power 0, which is 1 for every row; the max is not built as a graph
     if np.isinf(p):
-        return np.maximum.reduce(parts)
-    out = np.zeros_like(parts[0])
-    for part in parts:
-        out += part ** p
-    return out ** (1.0 / p)
+        raise SpaceError("graph norms are not implemented for p = inf")
+
+
+class _Graph:
+    """Graph operand: a (batch, size) node; the norms are differentiable."""
+
+    def width(self, x):
+        return x.shape[1]
+
+    def scale(self, x, w, invert):
+        return ad.mul(x, ad.Constant(1.0 / w if invert else w))
+
+    def cols(self, x, cols):
+        return ad.slice_cols(x, cols.start, cols.stop)
+
+    def fourier(self, x, space, s):
+        mult = sobolev_weights(space.signal_shape, float(s), float(space.frequency_scale))
+        return ad.fourier_multiplier(x, space.signal_shape, mult)
+
+    def lp(self, x, p):
+        _check_graph_exponent(p)
+        return ad.abs_pow(ad.sum_rows(ad.abs_pow(x, p)), 1.0 / p)
+
+    def outer(self, parts, p):
+        _check_graph_exponent(p)
+        total = ad.abs_pow(parts[0], p)
+        for part in parts[1:]:
+            total = ad.add(total, ad.abs_pow(part, p))
+        return ad.abs_pow(total, 1.0 / p)
+
+
+_ROWS, _PAIRS, _GRAPH = _Rows(), _Pairs(), _Graph()
+
+
+def _check_rows(space: SpaceSpec, X):
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] == 0:
+        raise SpaceError(f"expected rows of flattened signals, got shape {X.shape}")
+    expected = space.size
+    if expected is not None and X.shape[1] != expected:
+        raise SpaceError(
+            f"signal size {X.shape[1]} does not match space size {expected}")
+    return X
+
+
+def norm_batch(space: SpaceSpec, X) -> np.ndarray:
+    """Norms of a batch of flattened signals, one per row."""
+    return _norm(space, _check_rows(space, X), _ROWS, dual=False)
+
+
+def dual_norm_batch(space: SpaceSpec, G) -> np.ndarray:
+    """Analytic dual norms of a batch of flattened dual elements."""
+    return _norm(space, _check_rows(space, G), _ROWS, dual=True)
+
+
+def pairwise_norms(space: SpaceSpec, X, Y) -> np.ndarray:
+    """(m, n) matrix of ||x_i - y_j|| for rows x_i of X and y_j of Y."""
+    X = _check_rows(space, X)
+    Y = _check_rows(space, Y)
+    if X.shape[1] != Y.shape[1]:
+        raise SpaceError(f"signal sizes {X.shape[1]} and {Y.shape[1]} differ")
+    return _norm(space, (X, Y), _PAIRS, dual=False)
+
+
+def norm_rows(space: SpaceSpec, x: ad.Node) -> ad.Node:
+    """Graph node of per-row norms for a (batch, size) operand."""
+    return _norm(space, x, _GRAPH, dual=False)
+
+
+def dual_norm_rows(space: SpaceSpec, g: ad.Node) -> ad.Node:
+    """Graph node of per-row dual norms for a (batch, size) operand."""
+    return _norm(space, g, _GRAPH, dual=True)
 
 
 def norm(space: SpaceSpec, x) -> float:
     """Norm of one signal in its natural or flattened layout."""
     x = np.asarray(x, dtype=np.float64)
     return float(norm_batch(space, x.reshape(1, -1))[0])
-
-
-def pairwise_norms(space: SpaceSpec, X, Y) -> np.ndarray:
-    """(m, n) matrix of ||x_i - y_j|| for rows x_i of X and y_j of Y.
-
-    Every operator a norm applies before its L^p norm is linear, so it is
-    applied to the m + n rows instead of the m * n differences.
-    """
-    X = _check_rows(space, X)
-    Y = _check_rows(space, Y)
-    if X.shape[1] != Y.shape[1]:
-        raise SpaceError(f"signal sizes {X.shape[1]} and {Y.shape[1]} differ")
-    if space.family == "lp":
-        return _lp_pairwise(X, Y, space.p, space.measure)
-    if space.family == "sobolev":
-        return _lp_pairwise(_sobolev_rows(X, space, space.s),
-                            _sobolev_rows(Y, space, space.s),
-                            space.p, space.measure)
-    if space.family == "weighted":
-        return pairwise_norms(space.base, X * space.weight, Y * space.weight)
-    return _outer_norm([pairwise_norms(sub, X[:, cols], Y[:, cols])
-                        for sub, cols in _factor_columns(space)], space.p)
-
-
-def _lp_pairwise(X, Y, p, measure):
-    if p == 2.0 and measure == "counting":
-        return cdist(X, Y)
-    # one row at a time, so no (m, n, size) block is allocated
-    out = np.empty((X.shape[0], Y.shape[0]))
-    for i, x in enumerate(X):
-        out[i] = _lp_norm_rows(x - Y, p, measure)
-    return out
-
-
-def dual_norm_batch(space: SpaceSpec, G) -> np.ndarray:
-    """Analytic dual norms of a batch of flattened dual elements."""
-    G = _check_rows(space, G)
-    q = dual_exponent(space.p)
-    if space.family == "lp":
-        vals = _lp_norm_rows(G, q, "counting")
-        if space.measure == "normalized":
-            vals *= G.shape[1] ** (1.0 / space.p)
-        return vals
-    if space.family == "sobolev":
-        U = _sobolev_rows(G, space, -space.s)
-        vals = _lp_norm_rows(U, q, "counting")
-        if space.measure == "normalized":
-            vals *= G.shape[1] ** (1.0 / space.p)
-        return vals
-    if space.family == "weighted":
-        return dual_norm_batch(space.base, G / space.weight)
-    return _outer_norm([dual_norm_batch(sub, G[:, cols])
-                        for sub, cols in _factor_columns(space)], q)
 
 
 def dual_norm(space: SpaceSpec, g) -> float:
@@ -379,9 +437,9 @@ def dual_norm_maximizer(space: SpaceSpec, g) -> np.ndarray:
     if space.family == "lp":
         return np.sign(g) * np.abs(g) ** (q - 1.0)
     if space.family == "sobolev":
-        u = _sobolev_rows(g.reshape(1, -1), space, -space.s)[0]
+        u = _ROWS.fourier(g, space, -space.s)
         h = np.sign(u) * np.abs(u) ** (q - 1.0)
-        return _sobolev_rows(h.reshape(1, -1), space, -space.s)[0]
+        return _ROWS.fourier(h, space, -space.s)
     if space.family == "weighted":
         return dual_norm_maximizer(space.base, g / space.weight) / space.weight
     # product: scale per-factor maximizers by d_i^(q-1) / ||h_i||
@@ -392,73 +450,6 @@ def dual_norm_maximizer(space: SpaceSpec, g) -> np.ndarray:
             hi = dual_norm_maximizer(sub, g[cols])
             out[cols] = hi * (di ** (q - 1.0) / norm(sub, hi))
     return out
-
-
-# ---------------------------------------------------------------------------
-# Graph builders (differentiable norms over batched rows)
-# ---------------------------------------------------------------------------
-
-def _check_graph_exponent(p):
-    # (sum |x_i|^p)^(1/p) at p = inf would compute |x|^inf and then the
-    # power 0, which is 1 for every row; the max is not built as a graph
-    if np.isinf(p):
-        raise SpaceError("graph norms are not implemented for p = inf")
-
-
-def _lp_rows_node(x, p, measure, n):
-    _check_graph_exponent(p)
-    total = ad.sum_rows(ad.abs_pow(x, p))
-    if measure == "normalized":
-        total = total * (1.0 / n)
-    return ad.abs_pow(total, 1.0 / p)
-
-
-def norm_rows(space: SpaceSpec, x: ad.Node) -> ad.Node:
-    """Graph node of per-row norms for a (batch, size) operand."""
-    n = x.shape[1]
-    if space.family == "lp":
-        return _lp_rows_node(x, space.p, space.measure, n)
-    if space.family == "sobolev":
-        mult = sobolev_weights(space.signal_shape, float(space.s),
-                               float(space.frequency_scale))
-        y = ad.fourier_multiplier(x, space.signal_shape, mult)
-        return _lp_rows_node(y, space.p, space.measure, n)
-    if space.family == "weighted":
-        return norm_rows(space.base, ad.mul(x, ad.Constant(space.weight)))
-    _check_graph_exponent(space.p)
-    total = None
-    for sub, cols in _factor_columns(space):
-        part = ad.abs_pow(norm_rows(sub, ad.slice_cols(x, cols.start, cols.stop)),
-                          space.p)
-        total = part if total is None else ad.add(total, part)
-    return ad.abs_pow(total, 1.0 / space.p)
-
-
-def dual_norm_rows(space: SpaceSpec, g: ad.Node) -> ad.Node:
-    """Graph node of per-row dual norms for a (batch, size) operand."""
-    n = g.shape[1]
-    q = dual_exponent(space.p)
-    if space.family == "lp":
-        vals = _lp_rows_node(g, q, "counting", n)
-        if space.measure == "normalized":
-            vals = vals * (n ** (1.0 / space.p))
-        return vals
-    if space.family == "sobolev":
-        mult = sobolev_weights(space.signal_shape, float(-space.s),
-                               float(space.frequency_scale))
-        u = ad.fourier_multiplier(g, space.signal_shape, mult)
-        vals = _lp_rows_node(u, q, "counting", n)
-        if space.measure == "normalized":
-            vals = vals * (n ** (1.0 / space.p))
-        return vals
-    if space.family == "weighted":
-        return dual_norm_rows(space.base, ad.mul(g, ad.Constant(1.0 / space.weight)))
-    total = None
-    for sub, cols in _factor_columns(space):
-        part = ad.abs_pow(dual_norm_rows(sub, ad.slice_cols(g, cols.start, cols.stop)),
-                          q)
-        total = part if total is None else ad.add(total, part)
-    return ad.abs_pow(total, 1.0 / q)
 
 
 def pairing(g, x) -> float:

@@ -59,14 +59,18 @@ def heuristic_gamma(sample, space: SpaceSpec) -> float:
     return float(np.mean(dual_norm_batch(space, sample)))
 
 
-def heuristic_stats(sample, space: SpaceSpec):
-    """(lambda, gamma) heuristics with Monte-Carlo standard errors."""
-    sample = np.asarray(sample, dtype=np.float64)
-    if sample.size == 0:
-        raise ValueError("empty sample")
-    norms = norm_batch(space, sample)
-    duals = dual_norm_batch(space, sample)
-    n = len(norms)
+def heuristic_stats(sampler, rng: np.random.Generator, n: int, space: SpaceSpec):
+    """(lambda, gamma) heuristics with Monte-Carlo standard errors over
+    ``n`` rows of ``sampler(rng, k)``, drawn at most 2048 at a time so that
+    memory stays flat for large ``n`` times the signal size."""
+    if n < 1:
+        raise ValueError(f"need at least one sample, got {n}")
+    norms, duals = [], []
+    for start in range(0, n, 2048):
+        chunk = np.asarray(sampler(rng, min(n - start, 2048)), dtype=np.float64)
+        norms.append(norm_batch(space, chunk))
+        duals.append(dual_norm_batch(space, chunk))
+    norms, duals = np.concatenate(norms), np.concatenate(duals)
     return (float(norms.mean()), float(norms.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0,
             float(duals.mean()), float(duals.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0)
 
@@ -279,26 +283,65 @@ class TrainConfig:
     heuristic_samples: int = 1024
 
     def __post_init__(self):
-        if self.n_critic < 1:
-            raise ValueError("n_critic must be >= 1")
-        if self.batch_size < 1 or self.total_iterations < 0:
-            raise ValueError("invalid batch size or iteration count")
-        for name in ("lam", "gamma"):
-            v = getattr(self, name)
-            if v != "auto" and (isinstance(v, bool)
-                                or not isinstance(v, (int, float)) or not v > 0):
-                raise ValueError(f"{name} must be positive or 'auto', got {v!r}")
-        if not (isinstance(self.activation, str) and self.activation in ACTIVATIONS):
-            raise ValueError(f"unknown activation {self.activation!r}; "
-                             f"expected one of {sorted(ACTIVATIONS)}")
-        if (isinstance(self.heuristic_samples, bool)
-                or not isinstance(self.heuristic_samples, numbers.Integral)
-                or self.heuristic_samples < 1):
-            raise ValueError(f"heuristic_samples must be an integer >= 1, "
-                             f"got {self.heuristic_samples!r}")
-        if (isinstance(self.lr, bool) or not isinstance(self.lr, numbers.Real)
-                or not self.lr > 0):
-            raise ValueError(f"lr must be a positive number, got {self.lr!r}")
+        for name in ("critic_widths", "gen_widths"):
+            widths = getattr(self, name)
+            if isinstance(widths, (list, tuple)):
+                setattr(self, name, tuple(widths))
+        for name, (valid, expected) in _FIELD_CHECKS.items():
+            value = getattr(self, name)
+            if not valid(value):
+                raise ValueError(f"{name} must be {expected}, got {value!r}")
+
+
+def _is_int(v):
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _is_real(v):
+    return _is_int(v) or (isinstance(v, numbers.Real) and not isinstance(v, bool)
+                          and np.isfinite(v))
+
+
+def _auto_or_positive(v):
+    return (isinstance(v, str) and v == "auto") or (_is_real(v) and v > 0)
+
+
+def _widths(v):
+    return isinstance(v, tuple) and all(_is_int(d) and d >= 1 for d in v)
+
+
+def _integer(lo):
+    return lambda v: _is_int(v) and v >= lo, f"an integer >= {lo}"
+
+
+def _one_of(names):
+    return lambda v: isinstance(v, str) and v in names, f"one of {sorted(names)}"
+
+
+_UNIT_INTERVAL = (lambda v: _is_real(v) and 0 <= v < 1, "a number in [0, 1)")
+
+# field -> (check, what the check expects); bools are not accepted as numbers
+_FIELD_CHECKS = {
+    "space": (lambda v: isinstance(v, SpaceSpec), "a SpaceSpec"),
+    "lam": (_auto_or_positive, "a positive number or 'auto'"),
+    "gamma": (_auto_or_positive, "a positive number or 'auto'"),
+    "latent_dim": _integer(1),
+    "critic_widths": (_widths, "a list of integers >= 1"),
+    "gen_widths": (_widths, "a list of integers >= 1"),
+    "activation": _one_of(ACTIVATIONS),
+    "n_critic": _integer(1),
+    "batch_size": _integer(1),
+    "total_iterations": _integer(0),
+    "lr": (lambda v: _is_real(v) and v > 0, "a positive number"),
+    "beta1": _UNIT_INTERVAL,
+    "beta2": _UNIT_INTERVAL,
+    "linear_lr_decay": (lambda v: isinstance(v, bool), "true or false"),
+    "drift_coefficient": (lambda v: _is_real(v) and v >= 0, "a number >= 0"),
+    "seed": _integer(0),
+    "dataset": _one_of(datasets.SAMPLERS),
+    "w1_every": _integer(0),
+    "heuristic_samples": _integer(1),
+}
 
 
 @dataclass
@@ -345,8 +388,8 @@ def resolve_parameters(config: TrainConfig, rng: np.random.Generator,
     metrics = TrainMetrics()
     need = config.lam == "auto" or config.gamma == "auto"
     if need:
-        sample = sampler(rng, config.heuristic_samples)
-        lam_mean, lam_se, gam_mean, gam_se = heuristic_stats(sample, config.space)
+        lam_mean, lam_se, gam_mean, gam_se = heuristic_stats(
+            sampler, rng, config.heuristic_samples, config.space)
         if config.lam == "auto" and lam_mean <= 0.0:
             raise ValueError("dataset is degenerate: heuristic lambda is 0")
         metrics.lambda_stderr = lam_se

@@ -240,6 +240,7 @@ def test_criterion_06_transport_oracle(capsys):
 # 7. Kantorovich duality at desk scale
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_07_kantorovich_duality(capsys):
     # Two fixed 32-point 2D clouds away from the origin, the regime the
     # lambda heuristic targets: the data norm scale (~13.5) dominates W1
@@ -331,6 +332,7 @@ def test_criterion_09_optimal_constant(capsys):
 # 10. End-to-end training on the eight-Gaussian ring
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_10_end_to_end(capsys):
     t0 = time.perf_counter()
     ratios, bands = [], []

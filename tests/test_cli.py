@@ -148,6 +148,12 @@ def test_heuristics_rejects_zero_samples(capsys):
     assert cli.main(["heuristics", "--samples", "0"]) == cli.EXIT_USAGE
 
 
+def test_heuristics_rejects_nonpositive_dim(capsys):
+    assert cli.main(["heuristics", "--dataset", "uniform_cube",
+                     "--dim", "-1"]) == cli.EXIT_USAGE
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
@@ -224,14 +230,22 @@ def test_train_rejects_unknown_key(tmp_path, capsys):
     assert "sede" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key, value", [("activation", "foo"),
-                                        ("heuristic_samples", 0),
-                                        ("lr", "fast")])
+@pytest.mark.parametrize("key, value", [
+    ("activation", "foo"), ("heuristic_samples", 0), ("lr", "fast"),
+    ("latent_dim", "x"), ("n_critic", "5"), ("seed", -1), ("seed", 1.5),
+    ("critic_widths", 5), ("w1_every", "x"), ("batch_size", 2.5),
+    ("total_iterations", True), ("beta1", 2), ("log_every", "x"), ("p", "x"),
+    ("signal_shape", 5)])
 def test_train_rejects_bad_field_value(tmp_path, capsys, key, value):
+    doc = tiny_config_doc(tmp_path / "run", total_iterations=2)
+    if key == "log_every":
+        doc["output"][key] = value
+    elif key in cli.SPACE_KEYS:
+        doc["space"] = {"family": "sobolev", key: value}
+    else:
+        doc["train"][key] = value
     config = tmp_path / "run.json"
-    config.write_text(json.dumps(tiny_config_doc(tmp_path / "run",
-                                                 total_iterations=2,
-                                                 **{key: value})))
+    config.write_text(json.dumps(doc))
     assert cli.main(["train", str(config)]) == cli.EXIT_USAGE
     err = capsys.readouterr().err.strip()
     assert len(err.splitlines()) == 1

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bwgan import autodiff as ad
 from bwgan import spaces
@@ -19,6 +20,15 @@ def space_zoo(dim=16):
         spaces.weighted_space(spaces.lp_space(3.0), w),
         spaces.product_space([(spaces.lp_space(1.5), half),
                               (spaces.lp_space(4.0), dim - half)], p=2.0),
+        # nested: a weighted product, and a product of a normalized Sobolev
+        # factor with a weighted factor
+        spaces.weighted_space(
+            spaces.product_space([(spaces.lp_space(1.5), half),
+                                  (spaces.lp_space(4.0), dim - half)], p=2.0), w),
+        spaces.product_space(
+            [(spaces.sobolev_space(1.0, 2.5, (half,), measure="normalized"), half),
+             (spaces.weighted_space(spaces.lp_space(3.0), w[half:]), dim - half)],
+            p=3.0),
     ]
 
 
@@ -320,6 +330,16 @@ def test_size_mismatch_rejected():
         spaces.norm(sob, np.zeros(63))
 
 
+@pytest.mark.parametrize("space", [spaces.lp_space(2.0), spaces.lp_space(np.inf),
+                                   spaces.lp_space(2.0, measure="normalized")],
+                         ids=["l2", "linf", "normalized"])
+def test_empty_signal_rejected(space):
+    with pytest.raises(spaces.SpaceError):
+        spaces.norm(space, np.zeros(0))
+    with pytest.raises(spaces.SpaceError):
+        spaces.dual_norm(space, np.zeros(0))
+
+
 # ---------------------------------------------------------------------------
 # Graph builders agree with the numeric norms
 # ---------------------------------------------------------------------------
@@ -352,3 +372,57 @@ def test_graph_norm_gradient_matches_finite_differences():
             fd[i, j] = (spaces.norm_batch(space, up).sum()
                         - spaces.norm_batch(space, dn).sum()) / (2 * h)
     np.testing.assert_allclose(got, fd, rtol=1e-6, atol=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# Random nested weighted and product spaces
+# ---------------------------------------------------------------------------
+
+EXPONENTS = st.sampled_from([1.25, 1.5, 2.0, 3.0, 4.0, 7.0])
+
+
+@st.composite
+def nested_spaces(draw, size, depth=2):
+    """A space of flat ``size``: an L^p or Sobolev leaf, or a weighted
+    space or product over smaller nested spaces."""
+    kinds = ["lp", "sobolev"] + (["weighted", "product"] if depth else [])
+    kind = draw(st.sampled_from(kinds))
+    measure = draw(st.sampled_from(spaces.MEASURES))
+    if kind == "lp":
+        return spaces.lp_space(draw(EXPONENTS), measure)
+    if kind == "sobolev":
+        return spaces.sobolev_space(draw(st.sampled_from([-1.0, 0.5, 1.0])),
+                                    draw(EXPONENTS), (size,), measure=measure)
+    if kind == "weighted":
+        weight = draw(st.lists(st.floats(0.25, 4.0), min_size=size, max_size=size))
+        return spaces.weighted_space(draw(nested_spaces(size, depth - 1)), weight)
+    half = size // 2
+    return spaces.product_space([(draw(nested_spaces(half, depth - 1)), half),
+                                 (draw(nested_spaces(size - half, depth - 1)), size - half)],
+                                p=draw(EXPONENTS))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(space=nested_spaces(8), seed=st.integers(0, 2 ** 32 - 1))
+def test_nested_spaces_one_norm_algebra(space, seed):
+    """Graph and numeric norms agree, pairwise norms are norms of
+    differences, and Hoelder's inequality is attained by the maximizer."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((4, 8))
+    Y = rng.standard_normal((3, 8))
+    x = ad.Input((4, 8), name="x")
+    norms = spaces.norm_batch(space, X)
+    duals = spaces.dual_norm_batch(space, X)
+    np.testing.assert_allclose(ad.evaluate(spaces.norm_rows(space, x), {x: X}),
+                               norms, rtol=1e-12)
+    np.testing.assert_allclose(ad.evaluate(spaces.dual_norm_rows(space, x), {x: X}),
+                               duals, rtol=1e-12)
+    np.testing.assert_allclose(
+        spaces.pairwise_norms(space, X, Y),
+        [[spaces.norm_batch(space, (xi - yj)[None, :])[0] for yj in Y] for xi in X],
+        rtol=1e-12)
+    for g, dual, y in zip(X, duals, Y):
+        assert spaces.pairing(g, y) <= dual * spaces.norm(space, y) * (1 + 1e-12)
+        h = spaces.dual_norm_maximizer(space, g)
+        attained = spaces.pairing(g, h) / spaces.norm(space, h)
+        assert attained == pytest.approx(dual, rel=1e-10)

@@ -65,11 +65,34 @@ def test_heuristics_reject_empty_sample():
         training.heuristic_gamma(np.zeros((0, 4)), L2)
 
 
+def normal_rows(rng, n):
+    return rng.standard_normal((n, 4))
+
+
 def test_heuristic_stats_stderr_shrinks():
     rng = np.random.default_rng(3)
-    _, se_small, _, _ = training.heuristic_stats(rng.standard_normal((100, 4)), L2)
-    _, se_large, _, _ = training.heuristic_stats(rng.standard_normal((10000, 4)), L2)
+    _, se_small, _, _ = training.heuristic_stats(normal_rows, rng, 100, L2)
+    _, se_large, _, _ = training.heuristic_stats(normal_rows, rng, 10000, L2)
     assert 0.0 < se_large < se_small
+
+
+def test_heuristic_stats_draws_at_most_2048_rows_per_call():
+    calls = []
+
+    def sampler(rng, n):
+        calls.append(n)
+        return normal_rows(rng, n)
+
+    lam, lam_se, gam, gam_se = training.heuristic_stats(
+        sampler, np.random.default_rng(4), 5000, L2)
+    assert calls == [2048, 2048, 904]
+    X = normal_rows(np.random.default_rng(4), 5000)
+    norms = np.linalg.norm(X, axis=1)
+    assert lam == gam  # L2 is self-dual
+    assert lam == pytest.approx(norms.mean(), rel=1e-12)
+    assert lam_se == pytest.approx(norms.std(ddof=1) / np.sqrt(5000), rel=1e-12)
+    with pytest.raises(ValueError):
+        training.heuristic_stats(sampler, np.random.default_rng(4), 0, L2)
 
 
 # ---------------------------------------------------------------------------
