@@ -15,7 +15,6 @@ anything, and a (n,) row vector against an (m, n) matrix (bias addition).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -663,10 +662,6 @@ def affine(x, w, b):
     return add(matmul(x, w), b)
 
 
-def dot(a, b):
-    return sum_all(mul(a, b))
-
-
 # ---------------------------------------------------------------------------
 # Evaluation
 # ---------------------------------------------------------------------------
@@ -814,64 +809,3 @@ def grad(output: Node, wrt):
 
     results = [adjoint.get(t, Constant(np.zeros(t.shape))) for t in targets]
     return results[0] if single else results
-
-
-# ---------------------------------------------------------------------------
-# Graph wrapper
-# ---------------------------------------------------------------------------
-
-@dataclass
-class Graph:
-    """A computation with designated inputs and a scalar output node."""
-
-    inputs: list
-    output: Node
-
-    def __post_init__(self):
-        for node in self.inputs:
-            if not isinstance(node, Input):
-                raise GraphError(f"graph input {node!r} is not an Input node")
-
-    def env(self, values):
-        values = list(values)
-        if len(values) != len(self.inputs):
-            raise GraphError(
-                f"expected {len(self.inputs)} input values, got {len(values)}")
-        return dict(zip(self.inputs, values))
-
-
-def forward(graph: Graph, inputs) -> float:
-    """Evaluate the graph's scalar output for the given input tensors."""
-    if graph.output.shape != ():
-        raise GraphError(f"forward: output not scalar: {graph.output!r}")
-    return float(evaluate(graph.output, graph.env(inputs)))
-
-
-def gradient(graph: Graph, inputs, wrt_index: int = 0) -> np.ndarray:
-    """Gradient of the scalar output with respect to one input tensor.
-
-    The gradient is built as a graph (see ``grad``) and then evaluated, so
-    callers needing the symbolic form can use ``grad`` directly.
-    """
-    if graph.output.shape != ():
-        raise GraphError(f"gradient: output not scalar: {graph.output!r}")
-    gnode = grad(graph.output, graph.inputs[wrt_index])
-    return evaluate(gnode, graph.env(inputs))
-
-
-def gradient_of_gradient_functional(graph: Graph, inputs, functional):
-    """Differentiate ``functional(d output / d x)`` through the gradient.
-
-    ``x`` is the graph's first input; ``functional`` maps the gradient node
-    to a scalar node.  Returns the derivative of that scalar with respect
-    to the remaining inputs (the parameters), or with respect to ``x``
-    itself when it is the only input.  This is double backpropagation.
-    """
-    gx = grad(graph.output, graph.inputs[0])
-    value = functional(gx)
-    if not isinstance(value, Node) or value.shape != ():
-        raise GraphError("functional must build a scalar node from the gradient")
-    params = graph.inputs[1:] if len(graph.inputs) > 1 else [graph.inputs[0]]
-    gnodes = grad(value, params)
-    results = evaluate(gnodes, graph.env(inputs))
-    return results[0] if len(graph.inputs) == 1 else results

@@ -26,8 +26,13 @@ EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_DIVERGED = 3
 
-METRICS_HEADER = ("iter,critic_loss,gen_loss,penalty_mean,"
-                  "grad_dual_norm_mean,drift_term,exact_w1,lr")
+# (CSV header name, TrainMetrics attribute), in column order
+METRICS_COLUMNS = (("iter", "iterations"), ("critic_loss", "critic_loss"),
+                   ("gen_loss", "gen_loss"), ("penalty_mean", "penalty_mean"),
+                   ("grad_dual_norm_mean", "grad_dual_norm_mean"),
+                   ("drift_term", "drift_term"), ("exact_w1", "exact_w1"),
+                   ("lr", "lr"))
+METRICS_HEADER = ",".join(name for name, _ in METRICS_COLUMNS)
 
 
 class CliError(Exception):
@@ -58,16 +63,13 @@ def parse_shape(raw: str | None, flat_size: int | None):
 
 
 def space_from_flags(args, flat_size=None) -> SpaceSpec:
-    try:
-        if args.space == "lp":
-            return spaces.lp_space(args.p, args.measure)
-        shape = parse_shape(args.shape, flat_size)
-        if shape is None:
-            raise CliError("sobolev space needs --shape or an input signal")
-        return spaces.sobolev_space(args.s, args.p, shape,
-                                    args.frequency_scale, args.measure)
-    except spaces.SpaceError as exc:
-        raise CliError(str(exc))
+    if args.space == "lp":
+        return spaces.lp_space(args.p, args.measure)
+    shape = parse_shape(args.shape, flat_size)
+    if shape is None:
+        raise CliError("sobolev space needs --shape or an input signal")
+    return spaces.sobolev_space(args.s, args.p, shape,
+                                args.frequency_scale, args.measure)
 
 
 SPACE_KEYS = {"family", "p", "s", "frequency_scale", "measure", "signal_shape"}
@@ -106,24 +108,14 @@ def load_run_config(path):
             raise CliError(f"{where} section must be an object")
         _check_keys(section, allowed, where)
 
-    dataset = train_doc.get("dataset", TrainConfig.dataset)
-    family = space_doc.get("family", "lp")
-    try:
-        if family == "lp":
-            space = spaces.lp_space(space_doc.get("p", 2.0),
-                                    space_doc.get("measure", "counting"))
-        elif family == "sobolev":
-            default_shape = ((16, 16) if dataset == "rectangles"
-                             else (datasets.dataset_dim(dataset),))
-            space = spaces.sobolev_space(
-                space_doc.get("s", 0.0), space_doc.get("p", 2.0),
-                space_doc.get("signal_shape", default_shape),
-                space_doc.get("frequency_scale", 5.0),
-                space_doc.get("measure", "counting"))
-        else:
-            raise CliError(f"unsupported space family {family!r} in config")
-    except spaces.SpaceError as exc:
-        raise CliError(str(exc))
+    family = space_doc.setdefault("family", "lp")
+    if family not in ("lp", "sobolev"):
+        raise CliError(f"unsupported space family {family!r} in config")
+    if family == "sobolev" and "signal_shape" not in space_doc:
+        dataset = train_doc.get("dataset", TrainConfig.dataset)
+        space_doc["signal_shape"] = ((16, 16) if dataset == "rectangles"
+                                     else (datasets.dataset_dim(dataset),))
+    space = SpaceSpec(**space_doc)
 
     try:
         config = TrainConfig(space=space, **{"lam" if k == "lambda" else k: v
@@ -148,37 +140,29 @@ def format_value(v) -> str:
 
 
 def write_metrics_csv(path, metrics, log_every: int = 1):
+    series = [getattr(metrics, attr) for _, attr in METRICS_COLUMNS[1:]]
     with open(path, "w", newline="\n") as fh:
         fh.write(METRICS_HEADER + "\n")
-        for i in range(len(metrics)):
-            if metrics.iterations[i] % log_every:
+        for i, iteration in enumerate(metrics.iterations):
+            if iteration % log_every:
                 continue
-            row = [str(metrics.iterations[i]),
-                   format_value(metrics.critic_loss[i]),
-                   format_value(metrics.gen_loss[i]),
-                   format_value(metrics.penalty_mean[i]),
-                   format_value(metrics.grad_dual_norm_mean[i]),
-                   format_value(metrics.drift_term[i]),
-                   format_value(metrics.exact_w1[i]),
-                   format_value(metrics.lr[i])]
+            row = [str(iteration)] + [format_value(s[i]) for s in series]
             fh.write(",".join(row) + "\n")
 
 
 def read_metrics_csv(path):
     """Parse an emitted metrics file back into column lists."""
+    names = [name for name, _ in METRICS_COLUMNS]
+    columns = {name: [] for name in names}
     with open(path, newline="\n") as fh:
         header = fh.readline().rstrip("\n")
         if header != METRICS_HEADER:
             raise CliError(f"unexpected metrics header: {header!r}")
-        columns = {name: [] for name in header.split(",")}
-        names = header.split(",")
         for line in fh:
-            parts = line.rstrip("\n").split(",")
-            for name, raw in zip(names, parts):
-                if name == "iter":
-                    columns[name].append(int(raw))
-                else:
-                    columns[name].append(float(raw) if raw else None)
+            iteration, *values = line.rstrip("\n").split(",")
+            columns["iter"].append(int(iteration))
+            for name, raw in zip(names[1:], values):
+                columns[name].append(float(raw) if raw else None)
     return columns
 
 
@@ -265,8 +249,6 @@ def cmd_heuristics(args) -> int:
         sampler = datasets.make_sampler(args.dataset)
         dim = datasets.dataset_dim(args.dataset)
     space = space_from_flags(args, flat_size=dim)
-    if space.p <= 1.0:
-        raise CliError("heuristics need p > 1 (dual norm)")
     lam, lam_se, gam, gam_se = training.heuristic_stats(sampler, rng, args.samples, space)
     print(f"lambda={lam:.12g} stderr={lam_se:.6g}")
     print(f"gamma={gam:.12g} stderr={gam_se:.6g}")
@@ -512,7 +494,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, checkpoint.CheckpointError) as exc:
+    except (CliError, checkpoint.CheckpointError, spaces.SpaceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -29,8 +29,7 @@ class LipschitzReport:
 
 def grad_dual_norm(critic, space: SpaceSpec, x) -> float:
     """Dual norm of the critic's derivative at one point."""
-    g = spaces.iota_star(critic.input_gradient(x), space)
-    return spaces.dual_norm(space, g)
+    return spaces.dual_norm(space, critic.input_gradient(x))
 
 
 def grad_dual_norm_batch(critic, space: SpaceSpec, X) -> np.ndarray:

@@ -122,30 +122,6 @@ def product_space(factors, p=2.0) -> SpaceSpec:
                      factors=tuple((sp, int(sz)) for sp, sz in factors))
 
 
-@dataclass
-class DualElement:
-    """Coordinates of a dual-space element, tagged with its primal space."""
-
-    values: np.ndarray
-    space: SpaceSpec
-
-
-def iota_star(gradient, space: SpaceSpec) -> DualElement:
-    """Re-tag an autodiff gradient as an element of the dual space.
-
-    The coordinate identification between R^n and the discretized space is
-    the identity, so this is purely formal; it marks the point where a raw
-    gradient tensor starts being measured with the dual norm.
-    """
-    return DualElement(np.asarray(gradient, dtype=np.float64), space)
-
-
-def _values(g) -> np.ndarray:
-    if isinstance(g, DualElement):
-        return g.values
-    return np.asarray(g, dtype=np.float64)
-
-
 # ---------------------------------------------------------------------------
 # Exponents and elementary norms
 # ---------------------------------------------------------------------------
@@ -394,8 +370,8 @@ def norm(space: SpaceSpec, x) -> float:
 
 
 def dual_norm(space: SpaceSpec, g) -> float:
-    """Dual norm of one element of B*, accepting a DualElement or array."""
-    g = _values(g)
+    """Dual norm of one element of B*."""
+    g = np.asarray(g, dtype=np.float64)
     return float(dual_norm_batch(space, g.reshape(1, -1))[0])
 
 
@@ -432,7 +408,7 @@ def dual_norm_maximizer(space: SpaceSpec, g) -> np.ndarray:
     Returns the zero signal when g = 0.  Serves as the equality half of the
     Hoelder duality check.
     """
-    g = _values(g).ravel()
+    g = np.asarray(g, dtype=np.float64).ravel()
     q = dual_exponent(space.p)
     if space.family == "lp":
         return np.sign(g) * np.abs(g) ** (q - 1.0)
@@ -454,4 +430,5 @@ def dual_norm_maximizer(space: SpaceSpec, g) -> np.ndarray:
 
 def pairing(g, x) -> float:
     """Coordinate dual pairing <g, x> = sum_i g_i x_i."""
-    return float(np.dot(_values(g).ravel(), np.asarray(x, dtype=np.float64).ravel()))
+    return float(np.dot(np.asarray(g, dtype=np.float64).ravel(),
+                        np.asarray(x, dtype=np.float64).ravel()))

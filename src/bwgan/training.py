@@ -26,7 +26,7 @@ import numpy as np
 from . import autodiff as ad
 from . import datasets
 from .nets import ACTIVATIONS, Critic, Generator
-from .spaces import SpaceSpec, dual_norm_batch, dual_norm_rows, norm_batch
+from .spaces import SpaceError, SpaceSpec, dual_norm_batch, dual_norm_rows, norm_batch
 from .transport import DiscreteMeasure, wasserstein_1
 
 
@@ -228,32 +228,12 @@ class GeneratorLossGraph:
         return float(vals[0]), dict(zip(self.param_names, vals[1:]))
 
 
-def critic_loss(critic: Critic, real_batch, fake_batch, xhat_batch,
-                space: SpaceSpec, lam: float, gamma: float,
-                drift_coefficient: float) -> float:
-    """One-off evaluation of the critic loss on given batches."""
-    real_batch = np.asarray(real_batch, dtype=np.float64)
-    graph = CriticLossGraph(critic, space, lam, gamma, drift_coefficient,
-                            len(real_batch))
-    return graph.losses(real_batch, np.asarray(fake_batch, dtype=np.float64),
-                        np.asarray(xhat_batch, dtype=np.float64))["loss"]
-
-
 def penalty_term(critic: Critic, xhat_batch, space: SpaceSpec,
                  gamma: float) -> float:
     """Mean squared penalty E ((||dD(xhat)||_B* / gamma) - 1)^2 alone."""
     xhat_batch = np.asarray(xhat_batch, dtype=np.float64)
     dn = dual_norm_batch(space, critic.input_gradient_batch(xhat_batch))
     return float(np.mean((dn / gamma - 1.0) ** 2))
-
-
-def generator_loss(critic: Critic, generator: Generator, latent_batch,
-                   gamma: float) -> float:
-    """-E D(G(Z)) / gamma on one latent batch."""
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    fake = generator.sample(latent_batch)
-    return float(-np.mean(critic.value_batch(fake)) / gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +271,10 @@ class TrainConfig:
             value = getattr(self, name)
             if not valid(value):
                 raise ValueError(f"{name} must be {expected}, got {value!r}")
+        dim = datasets.dataset_dim(self.dataset)
+        if self.space.size not in (None, dim):
+            raise SpaceError(f"space size {self.space.size} does not match "
+                             f"the {self.dataset} dimension {dim}")
 
 
 def _is_int(v):

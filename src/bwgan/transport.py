@@ -143,13 +143,3 @@ def dual_estimate(critic, mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     """E_mu D - E_nu D, the critic-based lower bound on W_1."""
     return float(np.dot(mu.weights, critic.value_batch(mu.points))
                  - np.dot(nu.weights, critic.value_batch(nu.points)))
-
-
-def kantorovich_gap(critic, mu: DiscreteMeasure, nu: DiscreteMeasure,
-                    space: SpaceSpec) -> float:
-    """W_1(mu, nu) minus the critic's dual estimate.
-
-    Nonnegative (up to epsilon) whenever the critic is (1 + epsilon)-
-    Lipschitz on the supports.
-    """
-    return wasserstein_1(mu, nu, space) - dual_estimate(critic, mu, nu)

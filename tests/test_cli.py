@@ -108,6 +108,14 @@ def test_wasserstein_rejects_ragged_measure(tmp_path, capsys):
     assert cli.main(["wasserstein", a, b]) == cli.EXIT_USAGE
 
 
+def test_wasserstein_rejects_mismatched_sobolev_shape(tmp_path, capsys):
+    a = write_measure(tmp_path, [[0.5, 0.0, 0.0], [0.5, 1.0, 1.0]], "a.txt")
+    b = write_measure(tmp_path, [[1.0, 2.0, 2.0]], "b.txt")
+    assert cli.main(["wasserstein", a, b, "--space", "sobolev",
+                     "--shape", "4x4"]) == cli.EXIT_USAGE
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+
 def test_wasserstein_check_dual(tmp_path, capsys):
     rng = np.random.default_rng(3)
     critic = Critic(2, (8,), "relu", rng=rng)
@@ -250,6 +258,21 @@ def test_train_rejects_bad_field_value(tmp_path, capsys, key, value):
     err = capsys.readouterr().err.strip()
     assert len(err.splitlines()) == 1
     assert key in err
+
+
+@pytest.mark.parametrize("space, message", [
+    ({"family": "lp", "p": 1.0}, "p > 1"),
+    ({"family": "sobolev", "signal_shape": [16, 16]}, "size")], ids=["l1", "shape"])
+def test_train_rejects_invalid_space(tmp_path, capsys, space, message):
+    doc = tiny_config_doc(tmp_path / "run", dataset="eight_gaussians",
+                          total_iterations=2)
+    doc["space"] = space
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(doc))
+    assert cli.main(["train", str(config)]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert message in err
 
 
 @pytest.mark.parametrize("key", ["lambda", "gamma"])

@@ -209,13 +209,6 @@ def test_dual_space_norm_matches_dual_norm():
                 spaces.dual_norm(space, g), rel=1e-10)
 
 
-def test_iota_star_is_formal():
-    g = np.array([1.0, -2.0, 3.0])
-    elem = spaces.iota_star(g, spaces.lp_space(2.0))
-    np.testing.assert_array_equal(elem.values, g)
-    assert spaces.dual_norm(elem.space, elem) == pytest.approx(np.sqrt(14.0))
-
-
 # ---------------------------------------------------------------------------
 # Sobolev specifics
 # ---------------------------------------------------------------------------

@@ -170,8 +170,8 @@ def test_zero_critic_loss_is_lambda():
     critic = zeroed(Critic(3, (8,), "relu", rng=rng))
     batch = rng.standard_normal((5, 3))
     for lam in (0.5, 7.0):
-        loss = training.critic_loss(critic, batch, batch, batch, L2, lam,
-                                    gamma=2.0, drift_coefficient=0.1)
+        graph = CriticLossGraph(critic, L2, lam, gamma=2.0, drift=0.1, batch=5)
+        loss = graph.losses(batch, batch, batch)["loss"]
         assert loss == pytest.approx(lam)
 
 
@@ -207,7 +207,7 @@ def test_generator_loss_matches_graph():
     graph = GeneratorLossGraph(gen, critic, gamma=1.7, batch=6)
     Z = rng.standard_normal((6, 4))
     assert graph.loss_value(Z) == pytest.approx(
-        training.generator_loss(critic, gen, Z, 1.7), abs=1e-12)
+        -np.mean(critic.value_batch(gen.sample(Z))) / 1.7, abs=1e-12)
 
 
 def test_critic_loss_graph_matches_oneoff():
@@ -218,7 +218,11 @@ def test_critic_loss_graph_matches_oneoff():
     fake = rng.standard_normal((5, 4))
     xhat = training.interpolate(real, fake, rng.random(5))
     got = graph.losses(real, fake, xhat)["loss"]
-    want = training.critic_loss(critic, real, fake, xhat, L2, 2.0, 1.5, 0.01)
+    d_real = critic.value_batch(real)
+    d_fake = critic.value_batch(fake)
+    want = ((np.mean(d_fake) - np.mean(d_real)) / 1.5
+            + 2.0 * training.penalty_term(critic, xhat, L2, 1.5)
+            + 0.01 * np.mean(d_real ** 2))
     assert got == pytest.approx(want, abs=1e-12)
 
 
@@ -232,14 +236,6 @@ def test_losses_and_grads_consistent_with_losses():
     m2, grads = graph.losses_and_grads(real, fake, xhat)
     assert m1 == m2
     assert set(grads) == set(critic.mlp.param_names())
-
-
-def test_generator_loss_rejects_bad_gamma():
-    rng = np.random.default_rng(13)
-    critic = Critic(2, (4,), "relu", rng=rng)
-    gen = Generator(2, 2, (4,), "relu", rng=rng)
-    with pytest.raises(ValueError):
-        training.generator_loss(critic, gen, rng.standard_normal((3, 2)), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +255,8 @@ def test_config_validation():
         tiny_config(lam=True)
     with pytest.raises(ValueError):
         tiny_config(gamma=True)
+    with pytest.raises(spaces.SpaceError, match="size 256"):
+        tiny_config(space=spaces.sobolev_space(0.0, 2.0, (16, 16)))  # data is 2-D
 
 
 def test_resolve_parameters_passthrough_and_auto():

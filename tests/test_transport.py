@@ -291,7 +291,8 @@ def test_kantorovich_gap_zero_for_optimal_potential():
         critic = distance_critic(y0, space, 3)
         mu = random_measure(rng, 6, dim=3)
         nu = transport.DiscreteMeasure(y0[None, :], [1.0])
-        gap = transport.kantorovich_gap(critic, mu, nu, space)
+        gap = (transport.wasserstein_1(mu, nu, space)
+               - transport.dual_estimate(critic, mu, nu))
         assert gap == pytest.approx(0.0, abs=1e-9)
 
 
@@ -302,4 +303,5 @@ def test_kantorovich_gap_nonnegative_for_lipschitz_critic():
     for _ in range(10):
         mu = random_measure(rng, 4)
         nu = random_measure(rng, 4)
-        assert transport.kantorovich_gap(critic, mu, nu, L2) >= -1e-9
+        gap = transport.wasserstein_1(mu, nu, L2) - transport.dual_estimate(critic, mu, nu)
+        assert gap >= -1e-9
