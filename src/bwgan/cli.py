@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import checkpoint, datasets, lipschitz, spaces, training
-from .nets import Critic
+from .nets import ACTIVATIONS, Critic
 from .spaces import SpaceSpec
 from .training import DivergenceError, TrainConfig
 from .transport import DiscreteMeasure, TransportError, dual_estimate, wasserstein_p_exact
@@ -148,22 +148,6 @@ def write_metrics_csv(path, metrics, log_every: int = 1):
                 continue
             row = [str(iteration)] + [format_value(s[i]) for s in series]
             fh.write(",".join(row) + "\n")
-
-
-def read_metrics_csv(path):
-    """Parse an emitted metrics file back into column lists."""
-    names = [name for name, _ in METRICS_COLUMNS]
-    columns = {name: [] for name in names}
-    with open(path, newline="\n") as fh:
-        header = fh.readline().rstrip("\n")
-        if header != METRICS_HEADER:
-            raise CliError(f"unexpected metrics header: {header!r}")
-        for line in fh:
-            iteration, *values = line.rstrip("\n").split(",")
-            columns["iter"].append(int(iteration))
-            for name, raw in zip(names[1:], values):
-                columns[name].append(float(raw) if raw else None)
-    return columns
 
 
 # ---------------------------------------------------------------------------
@@ -310,14 +294,16 @@ def critic_from_checkpoint(path, activation="relu") -> Critic:
 def cmd_wasserstein(args) -> int:
     mu = read_measure(args.measure_a)
     nu = read_measure(args.measure_b)
-    space = space_from_flags(args, flat_size=mu.points.shape[1])
-    try:
-        value, _ = wasserstein_p_exact(mu, nu, space, args.wp)
-    except TransportError as exc:
-        raise CliError(str(exc))
-    print(f"w{args.wp:g}={value:.12g}")
+    dim = mu.points.shape[1]
+    space = space_from_flags(args, flat_size=dim)
     if args.check_dual:
         critic = critic_from_checkpoint(args.check_dual, args.activation)
+        if critic.in_dim != dim:
+            raise CliError(f"{args.check_dual}: critic takes {critic.in_dim} "
+                           f"inputs, the measures have dimension {dim}")
+    value, _ = wasserstein_p_exact(mu, nu, space, args.wp)
+    print(f"w{args.wp:g}={value:.12g}")
+    if args.check_dual:
         est = dual_estimate(critic, mu, nu)
         print(f"dual_estimate={est:.12g}")
         print(f"gap={value - est:.12g}")
@@ -475,7 +461,7 @@ def build_parser():
                    help="transport exponent")
     p.add_argument("--check-dual", metavar="CHECKPOINT",
                    help="also report the critic dual estimate and gap")
-    p.add_argument("--activation", default="relu")
+    p.add_argument("--activation", default="relu", choices=sorted(ACTIVATIONS))
     add_space_flags(p)
     p.set_defaults(func=cmd_wasserstein)
 
@@ -494,7 +480,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, checkpoint.CheckpointError, spaces.SpaceError) as exc:
+    except (CliError, checkpoint.CheckpointError, spaces.SpaceError,
+            TransportError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

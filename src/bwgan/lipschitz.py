@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import spaces
 from .spaces import SpaceSpec, dual_norm_batch, norm, norm_batch
 
 
@@ -25,11 +24,6 @@ class LipschitzReport:
     sample_count: int
     skipped: int
     space: SpaceSpec
-
-
-def grad_dual_norm(critic, space: SpaceSpec, x) -> float:
-    """Dual norm of the critic's derivative at one point."""
-    return spaces.dual_norm(space, critic.input_gradient(x))
 
 
 def grad_dual_norm_batch(critic, space: SpaceSpec, X) -> np.ndarray:

@@ -116,10 +116,6 @@ class GraphCritic:
     def value(self, x) -> float:
         return float(self.value_batch(np.asarray(x, dtype=np.float64).reshape(1, -1))[0])
 
-    def input_gradient(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        return self.input_gradient_batch(x.reshape(1, -1))[0].reshape(x.shape)
-
 
 class Critic(GraphCritic):
     """MLP critic: flattened signal -> real score."""

@@ -139,11 +139,6 @@ def dual_exponent(p: float) -> float:
     return p / (p - 1.0)
 
 
-def lp_norm(x, p: float, measure: str = "counting") -> float:
-    """(sum |x_i|^p)^(1/p), or the averaged variant for ``normalized``."""
-    return norm(lp_space(p, measure), x)
-
-
 def _lp_norm_rows(X, p):
     if np.isinf(p):
         return np.max(np.abs(X), axis=1)
@@ -178,18 +173,6 @@ def sobolev_weights(spatial_shape: tuple, s: float, frequency_scale: float):
     else:
         xi_sq = grids[0][:, None] ** 2 + grids[1][None, :] ** 2
     return (1.0 + xi_sq) ** (s / 2.0)
-
-
-def sobolev_multiplier(x, s: float, frequency_scale: float = 5.0) -> np.ndarray:
-    """Apply F^-1 [(1 + |xi|^2)^(s/2) F x] over the trailing spatial axes.
-
-    ``x`` may be (n,), (h, w) or (c, h, w); the output is real.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim not in (1, 2, 3):
-        raise SpaceError(f"unsupported signal rank {x.ndim}")
-    mult = sobolev_weights(x.shape, float(s), float(frequency_scale))
-    return ad.fourier_multiply(x.ravel(), x.shape, ad.half_spectrum(mult)).reshape(x.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -51,14 +51,6 @@ def heuristic_lambda(sample, space: SpaceSpec) -> float:
     return float(np.mean(norm_batch(space, sample)))
 
 
-def heuristic_gamma(sample, space: SpaceSpec) -> float:
-    """Empirical mean of ||X||_B* (same coordinates, dual norm)."""
-    sample = np.asarray(sample, dtype=np.float64)
-    if sample.size == 0:
-        raise ValueError("empty sample")
-    return float(np.mean(dual_norm_batch(space, sample)))
-
-
 def heuristic_stats(sampler, rng: np.random.Generator, n: int, space: SpaceSpec):
     """(lambda, gamma) heuristics with Monte-Carlo standard errors over
     ``n`` rows of ``sampler(rng, k)``, drawn at most 2048 at a time so that
@@ -211,7 +203,6 @@ class GeneratorLossGraph:
         self.param_names = generator.mlp.param_names()
         param_nodes = [generator.mlp.nodes[k] for k in self.param_names]
         self.grad_nodes = ad.grad(self.loss, param_nodes)
-        self._loss = ad.Program(self.loss)
         self._loss_and_grads = ad.Program([self.loss, *self.grad_nodes])
 
     def _env(self, Z):
@@ -219,9 +210,6 @@ class GeneratorLossGraph:
         env.update(self.critic.mlp.env())
         env[self.z] = Z
         return env
-
-    def loss_value(self, Z) -> float:
-        return float(self._loss(self._env(Z)))
 
     def loss_and_grads(self, Z):
         vals = self._loss_and_grads(self._env(Z))

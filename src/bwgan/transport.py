@@ -111,8 +111,8 @@ def wasserstein_p_exact(mu: DiscreteMeasure, nu: DiscreteMeasure,
 
     Uniform pairs of equal size are solved by assignment, all others by LP.
     """
-    if p < 1.0:
-        raise TransportError(f"need p >= 1, got {p}")
+    if not 1.0 <= p < np.inf:
+        raise TransportError(f"need finite p >= 1, got {p}")
     mu = mu.trimmed()
     nu = nu.trimmed()
     m, n = len(mu), len(nu)

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -19,6 +20,13 @@ def write_measure(tmp_path, rows, name):
     path = tmp_path / name
     path.write_text("\n".join(" ".join(str(v) for v in row) for row in rows) + "\n")
     return str(path)
+
+
+def read_metrics(path):
+    """Rows of a metrics.csv as dicts of floats; an empty field means no value."""
+    with open(path, newline="") as fh:
+        return [{k: float(v) if v else None for k, v in row.items()}
+                for row in csv.DictReader(fh)]
 
 
 def tiny_config_doc(out_dir, **train_overrides):
@@ -133,6 +141,48 @@ def test_wasserstein_check_dual(tmp_path, capsys):
     assert gap == pytest.approx(w1 - est, abs=1e-9)
 
 
+def save_critic(tmp_path, in_dim):
+    critic = Critic(in_dim, (8,), "relu", rng=np.random.default_rng(3))
+    ckpt = tmp_path / "critic.ckpt"
+    checkpoint.save_tensors(ckpt, critic.mlp.params)
+    return str(ckpt)
+
+
+def assert_one_error_line(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def test_wasserstein_negative_weight_exits_2(tmp_path, capsys):
+    a = write_measure(tmp_path, [[1.5, 0.0], [-0.5, 1.0]], "a.txt")
+    b = write_measure(tmp_path, [[1.0, 1.0]], "b.txt")
+    assert cli.main(["wasserstein", a, b]) == cli.EXIT_USAGE
+    assert_one_error_line(capsys)
+
+
+@pytest.mark.parametrize("wp", ["nan", "inf"])
+def test_wasserstein_non_finite_exponent_exits_2(tmp_path, capsys, wp):
+    a = write_measure(tmp_path, [[0.5, 0.0], [0.5, 1.0]], "a.txt")
+    assert cli.main(["wasserstein", a, a, "--wp", wp]) == cli.EXIT_USAGE
+    assert_one_error_line(capsys)
+
+
+def test_check_dual_critic_of_other_dimension_exits_2(tmp_path, capsys):
+    ckpt = save_critic(tmp_path, in_dim=3)
+    mu = write_measure(tmp_path, [[0.5, 0.0, 0.0], [0.5, 1.0, 1.0]], "mu.txt")
+    assert cli.main(["wasserstein", mu, mu, "--check-dual", ckpt]) == cli.EXIT_USAGE
+    assert_one_error_line(capsys)
+
+
+def test_check_dual_unknown_activation_exits_2(tmp_path, capsys):
+    ckpt = save_critic(tmp_path, in_dim=2)
+    mu = write_measure(tmp_path, [[0.5, 0.0, 0.0], [0.5, 1.0, 1.0]], "mu.txt")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["wasserstein", mu, mu, "--check-dual", ckpt, "--activation", "foo"])
+    assert exc.value.code == cli.EXIT_USAGE
+    assert capsys.readouterr().out == ""
+
+
 # ---------------------------------------------------------------------------
 # heuristics
 # ---------------------------------------------------------------------------
@@ -196,12 +246,12 @@ def test_train_command_outputs(tmp_path, capsys):
     config.write_text(json.dumps(tiny_config_doc(out_dir)))
     assert cli.main(["train", str(config)]) == cli.EXIT_OK
 
-    columns = cli.read_metrics_csv(out_dir / "metrics.csv")
-    assert columns["iter"] == [0, 2, 4]  # log_every 2 over 5 iterations
-    assert all(v is not None for v in columns["critic_loss"])
+    rows = read_metrics(out_dir / "metrics.csv")
+    assert [row["iter"] for row in rows] == [0, 2, 4]  # log_every 2 over 5 iterations
+    assert all(row["critic_loss"] is not None for row in rows)
     # w1 monitored on iterations 0 and 3; 3 is filtered out by log_every
-    assert columns["exact_w1"][0] is not None
-    assert columns["exact_w1"][1] is None
+    assert rows[0]["exact_w1"] is not None
+    assert rows[1]["exact_w1"] is None
 
     gen = checkpoint.load_tensors(out_dir / "generator.ckpt")
     crit = checkpoint.load_tensors(out_dir / "critic.ckpt")
@@ -223,10 +273,9 @@ def test_train_matches_library_run(tmp_path):
         space=L2, lam=1.0, gamma=1.0, latent_dim=4, critic_widths=(8, 8),
         gen_widths=(8, 8), n_critic=1, batch_size=8, total_iterations=5,
         lr=1e-3, w1_every=3, seed=1))
-    columns = cli.read_metrics_csv(out_dir / "metrics.csv")
-    for row, it in enumerate(columns["iter"]):
-        assert columns["critic_loss"][row] == pytest.approx(
-            metrics.critic_loss[it], rel=1e-10)
+    for row in read_metrics(out_dir / "metrics.csv"):
+        assert row["critic_loss"] == pytest.approx(
+            metrics.critic_loss[int(row["iter"])], rel=1e-10)
 
 
 def test_train_rejects_unknown_key(tmp_path, capsys):
@@ -319,17 +368,10 @@ def test_metrics_csv_round_trip(tmp_path):
     assert lines[0] == cli.METRICS_HEADER
     assert lines[2].split(",")[6] == ""  # empty exact_w1 slot
     assert "\r" not in raw
-    columns = cli.read_metrics_csv(path)
-    assert columns["iter"] == [0, 1]
-    assert columns["exact_w1"] == [2.25, None]
-    assert columns["lr"] == [2e-4, 1e-4]
-
-
-def test_metrics_csv_rejects_foreign_header(tmp_path):
-    path = tmp_path / "metrics.csv"
-    path.write_text("iteration,loss\n0,1.0\n")
-    with pytest.raises(cli.CliError):
-        cli.read_metrics_csv(path)
+    rows = read_metrics(path)
+    assert [row["iter"] for row in rows] == [0, 1]
+    assert [row["exact_w1"] for row in rows] == [2.25, None]
+    assert [row["lr"] for row in rows] == [2e-4, 1e-4]
 
 
 def test_format_value():

@@ -251,6 +251,13 @@ def test_rejects_p_below_one():
         transport.wasserstein_p_exact(mu, mu, L2, 0.5)
 
 
+@pytest.mark.parametrize("p", [np.inf, np.nan], ids=["inf", "nan"])
+def test_rejects_non_finite_p(p):
+    mu = transport.DiscreteMeasure(np.array([[0.0], [1.0]]), [0.5, 0.5])
+    with pytest.raises(transport.TransportError):
+        transport.wasserstein_p_exact(mu, mu, L2, p)
+
+
 def test_rejects_dimension_mismatch():
     mu = transport.DiscreteMeasure([[0.0, 1.0]], [1.0])
     nu = transport.DiscreteMeasure([[0.0]], [1.0])
