@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+import scipy.fft
 
 
 class ShapeError(ValueError):
@@ -505,9 +506,9 @@ def fourier_multiply(x, spatial_shape, half) -> np.ndarray:
     nfft = 1 if len(spatial_shape) == 1 else 2
     axes = tuple(range(-nfft, 0))
     v = x.reshape(x.shape[:-1] + tuple(spatial_shape))
-    spec = np.fft.rfftn(v, axes=axes, norm="ortho")
+    spec = scipy.fft.rfftn(v, axes=axes, norm="ortho")
     spec *= half
-    out = np.fft.irfftn(spec, s=spatial_shape[-nfft:], axes=axes, norm="ortho")
+    out = scipy.fft.irfftn(spec, s=spatial_shape[-nfft:], axes=axes, norm="ortho")
     return out.reshape(x.shape)
 
 

@@ -164,7 +164,10 @@ def read_signal(path) -> np.ndarray:
         raise CliError(f"malformed signal file {path}: {exc}")
     if not values:
         raise CliError(f"empty signal file {path}")
-    return np.asarray(values)
+    values = np.asarray(values)
+    if not np.all(np.isfinite(values)):
+        raise CliError(f"{path}: non-finite signal value")
+    return values
 
 
 def read_measure(path) -> DiscreteMeasure:
@@ -182,6 +185,8 @@ def read_measure(path) -> DiscreteMeasure:
                     row = [float(t) for t in toks]
                 except ValueError:
                     raise CliError(f"{path}:{ln}: non-numeric entry")
+                if not np.all(np.isfinite(row)):
+                    raise CliError(f"{path}:{ln}: non-finite entry")
                 weights.append(row[0])
                 points.append(row[1:])
     except OSError as exc:

@@ -31,6 +31,12 @@ def grad_dual_norm_batch(critic, space: SpaceSpec, X) -> np.ndarray:
     return dual_norm_batch(space, critic.input_gradient_batch(X))
 
 
+def _pair_gaps(critic, X, Y) -> np.ndarray:
+    """|f(X_k) - f(Y_k)| per row, from one critic call on both batches."""
+    f = critic.value_batch(np.concatenate([X, Y]))
+    return np.abs(f[:len(X)] - f[len(X):])
+
+
 def difference_quotient(critic, space: SpaceSpec, x, y) -> float:
     """|f(x) - f(y)| / ||x - y||_B; rejects coincident points."""
     x = np.asarray(x, dtype=np.float64).ravel()
@@ -38,7 +44,7 @@ def difference_quotient(critic, space: SpaceSpec, x, y) -> float:
     denom = norm(space, x - y)
     if denom == 0.0:
         raise ValueError("difference quotient undefined for x = y")
-    return abs(critic.value(x) - critic.value(y)) / denom
+    return float(_pair_gaps(critic, x[None], y[None])[0] / denom)
 
 
 def segment_grad_sup(critic, space: SpaceSpec, x, y, samples: int = 100) -> float:
@@ -70,9 +76,7 @@ def estimate_lipschitz(critic, space: SpaceSpec, sampler, n: int,
     skipped = int(np.sum(~ok))
     max_quot = 0.0
     if np.any(ok):
-        fx = critic.value_batch(X[ok])
-        fy = critic.value_batch(Y[ok])
-        max_quot = float(np.max(np.abs(fx - fy) / denom[ok]))
+        max_quot = float(np.max(_pair_gaps(critic, X[ok], Y[ok]) / denom[ok]))
     t = np.linspace(0.0, 1.0, segment_samples + 2)
     pts = np.concatenate([ti * X + (1.0 - ti) * Y for ti in t], axis=0)
     max_grad = float(np.max(grad_dual_norm_batch(critic, space, pts)))
@@ -97,8 +101,7 @@ def diff_quotient_penalty(critic, space: SpaceSpec, X, Y,
     if not np.any(ok):
         value = 0.0
     else:
-        quot = (np.abs(critic.value_batch(X[ok]) - critic.value_batch(Y[ok]))
-                / denom[ok])
+        quot = _pair_gaps(critic, X[ok], Y[ok]) / denom[ok]
         hinge = np.maximum(quot - 1.0, 0.0)
         value = float(np.mean(hinge ** 2))
     if return_excluded:

@@ -1,8 +1,8 @@
 """Small fully connected networks as reusable graph templates.
 
-Parameters live as numpy arrays bound to Input placeholders, so one graph
-per batch size is built and compiled once and re-evaluated as the
-parameters change.
+Parameters live as numpy arrays bound to Input placeholders, so each
+program is compiled on first use, once per kind and batch size, and
+re-evaluated as the parameters change.
 """
 
 from __future__ import annotations
@@ -76,8 +76,9 @@ class GraphCritic:
     """Scalar map on flattened signals, defined by a graph template.
 
     ``build_scores`` maps a (batch, in_dim) node to a (batch,) node of
-    per-sample scores.  Compiled graphs (forward and input gradient) are
-    cached per batch size.  ``extra_env`` supplies parameter bindings, if any.
+    per-sample scores.  The value and input-gradient programs are compiled
+    separately on first use and cached per (kind, batch size).
+    ``extra_env`` supplies parameter bindings, if any.
     """
 
     def __init__(self, in_dim, build_scores, extra_env=None):
@@ -86,35 +87,28 @@ class GraphCritic:
         self.extra_env = extra_env if extra_env is not None else dict
         self._cache = {}
 
-    def _graphs(self, batch):
-        if batch not in self._cache:
+    def _run(self, kind, X):
+        X = np.asarray(X, dtype=np.float64)
+        batch = X.shape[0]
+        if (kind, batch) not in self._cache:
             x = ad.Input((batch, self.in_dim), name="x")
             scores = self.build_scores(x)
             if scores.shape != (batch,):
                 raise ad.ShapeError(
                     f"critic scores must have shape ({batch},), got {scores.shape}")
-            gx = ad.grad(ad.sum_all(scores), x)
-            self._cache[batch] = (x, ad.Program(scores), ad.Program(gx))
-        return self._cache[batch]
-
-    def _env(self, x_node, X):
+            out = scores if kind == "value" else ad.grad(ad.sum_all(scores), x)
+            self._cache[kind, batch] = (x, ad.Program(out))
+        x, program = self._cache[kind, batch]
         env = dict(self.extra_env())
-        env[x_node] = X
-        return env
+        env[x] = X
+        return program(env)
 
     def value_batch(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        x, scores, _ = self._graphs(X.shape[0])
-        return scores(self._env(x, X))
+        return self._run("value", X)
 
     def input_gradient_batch(self, X) -> np.ndarray:
         """Per-row gradients d score_k / d x_k, stacked as rows."""
-        X = np.asarray(X, dtype=np.float64)
-        x, _, gx = self._graphs(X.shape[0])
-        return gx(self._env(x, X))
-
-    def value(self, x) -> float:
-        return float(self.value_batch(np.asarray(x, dtype=np.float64).reshape(1, -1))[0])
+        return self._run("gradient", X)
 
 
 class Critic(GraphCritic):

@@ -85,6 +85,12 @@ def test_norm_command_malformed_signal(tmp_path, capsys):
     assert cli.main(["norm", str(path)]) == cli.EXIT_USAGE
 
 
+def test_norm_command_nan_signal_exits_2(tmp_path, capsys):
+    path = write_signal(tmp_path, ["nan", 1.0, 2.0])
+    assert cli.main(["norm", path]) == cli.EXIT_USAGE
+    assert_one_error_line(capsys)
+
+
 # ---------------------------------------------------------------------------
 # wasserstein
 # ---------------------------------------------------------------------------
@@ -158,6 +164,20 @@ def test_wasserstein_negative_weight_exits_2(tmp_path, capsys):
     b = write_measure(tmp_path, [[1.0, 1.0]], "b.txt")
     assert cli.main(["wasserstein", a, b]) == cli.EXIT_USAGE
     assert_one_error_line(capsys)
+
+
+@pytest.mark.parametrize("rows", [
+    [[0.5, 1.0, float("nan")], [0.5, 0.0, 0.0]],
+    [[0.5, float("inf"), 1.0], [0.5, 0.0, 0.0]],
+    [[1.0, float("nan"), 0.0]],
+    [[float("nan"), 0.0, 0.0], [float("nan"), 1.0, 1.0]],
+], ids=["nan-coordinate", "inf-coordinate", "lone-nan-coordinate", "nan-weights"])
+def test_wasserstein_non_finite_measure_exits_2(tmp_path, capsys, rows):
+    a = write_measure(tmp_path, rows, "a.txt")
+    b = write_measure(tmp_path, [[0.5, 0.0, 0.0], [0.5, 1.0, 1.0]], "b.txt")
+    assert cli.main(["wasserstein", a, b]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {a}:1: ") and len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("wp", ["nan", "inf"])

@@ -159,3 +159,48 @@ def test_penalty_in_dual_norm_of_choice():
     assert gn == pytest.approx(dim ** 0.75)
     quot = lipschitz.difference_quotient(critic, l4, x, np.zeros(dim))
     assert quot == pytest.approx(dim / dim ** 0.25)
+
+
+def test_pair_evaluations_match_one_row_reference():
+    rng = np.random.default_rng(7)
+    critic = Critic(6, (12, 12), "tanh", rng=np.random.default_rng(7))
+    # steepen the output layer so quotients exceed 1 and the hinge is nonzero
+    critic.mlp.set_params({"critic.w2": 400.0 * critic.mlp.params["critic.w2"]})
+    space = spaces.lp_space(1.5)
+    X, Y = rng.standard_normal((9, 6)), rng.standard_normal((9, 6))
+    Y[3] = X[3]
+    ok = np.arange(9) != 3
+    fx = np.array([critic.value_batch(x[None])[0] for x in X])
+    fy = np.array([critic.value_batch(y[None])[0] for y in Y])
+    quot = np.abs(fx - fy)[ok] / spaces.norm_batch(space, X[ok] - Y[ok])
+
+    got = [lipschitz.difference_quotient(critic, space, X[k], Y[k])
+           for k in np.flatnonzero(ok)]
+    np.testing.assert_allclose(got, quot, rtol=1e-12, atol=0.0)
+
+    report = lipschitz.estimate_lipschitz(critic, space, lambda n: (X, Y), 9,
+                                          segment_samples=3)
+    t = np.linspace(0.0, 1.0, 5)
+    pts = np.concatenate([ti * X + (1.0 - ti) * Y for ti in t])
+    grads = [lipschitz.grad_dual_norm_batch(critic, space, p[None])[0] for p in pts]
+    assert report.max_difference_quotient == pytest.approx(np.max(quot), rel=1e-12, abs=0.0)
+    assert report.max_dual_gradient_norm == pytest.approx(max(grads), rel=1e-12, abs=0.0)
+    assert report.skipped == 1
+
+    penalty, excluded = lipschitz.diff_quotient_penalty(critic, space, X, Y,
+                                                        return_excluded=True)
+    want = np.mean(np.maximum(quot - 1.0, 0.0) ** 2)
+    assert want > 0.0
+    assert penalty == pytest.approx(want, rel=1e-12, abs=0.0)
+    assert excluded == 1
+
+
+def test_difference_quotient_makes_one_critic_call():
+    critic = Critic(3, (5,), "tanh", rng=np.random.default_rng(8))
+    calls = []
+    for name in ("value_batch", "input_gradient_batch"):
+        method = getattr(critic, name)
+        setattr(critic, name,
+                lambda X, name=name, method=method: calls.append(name) or method(X))
+    lipschitz.difference_quotient(critic, L2, np.ones(3), np.zeros(3))
+    assert calls == ["value_batch"]
