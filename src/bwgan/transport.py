@@ -1,11 +1,15 @@
 """Exact Wasserstein-p distances between finitely supported measures.
 
-Two equal-size measures with equal weights are solved as an assignment
-problem (``linear_sum_assignment``): by Birkhoff-von Neumann an optimal
-coupling is then a permutation scaled by the weight.  Every other pair is
-solved as a linear program over the coupling polytope (HiGHS dual simplex,
-sparse marginal constraints).  Supports are capped at 64 points per
-measure so each solve stays sub-second at desk scale.
+A pair of count-weighted measures, every weight of both k/N for integers
+k >= 1 and one N <= 64, is solved as an assignment problem
+(``linear_sum_assignment``): split each atom into k unit atoms of mass 1/N
+and, by Birkhoff-von Neumann and the integrality of the transportation
+polytope, an optimal coupling of the two uniform N-point measures is a
+permutation scaled by 1/N, with the same optimal cost.  Uniform pairs of
+equal size are the case k = 1.  Every other pair is solved as a linear
+program over the coupling polytope (HiGHS dual simplex, sparse marginal
+constraints).  Supports are capped at 64 points per measure so each solve
+stays sub-second at desk scale.
 """
 
 from __future__ import annotations
@@ -42,6 +46,10 @@ class DiscreteMeasure:
         self.weights = np.asarray(self.weights, dtype=np.float64).ravel()
         if len(self.weights) != len(self.points):
             raise TransportError("points and weights length mismatch")
+        if not np.all(np.isfinite(self.weights)):
+            raise TransportError("weights must be finite")
+        if not np.all(np.isfinite(self.points)):
+            raise TransportError("points must be finite")
         if np.any(self.weights < 0):
             raise TransportError("weights must be nonnegative")
         if abs(self.weights.sum() - 1.0) > 1e-12:
@@ -81,11 +89,41 @@ def cost_matrix(mu: DiscreteMeasure, nu: DiscreteMeasure, space: SpaceSpec,
     return pairwise_norms(space, mu.points, nu.points) ** p
 
 
-def _is_uniform_pair(mu: DiscreteMeasure, nu: DiscreteMeasure) -> bool:
-    """Equal support sizes and one weight shared by every atom of both."""
-    w = mu.weights[0]
-    return (len(mu) == len(nu) and bool(np.all(mu.weights == w))
-            and bool(np.all(nu.weights == w)))
+def _unit_counts(mu: DiscreteMeasure, nu: DiscreteMeasure):
+    """Atom counts (N, a, b) with mu.weights = a / N and nu.weights = b / N.
+
+    N is the smallest integer in [max(m, n), MAX_SUPPORT] for which every
+    weight w of both measures has |w N - k| <= 1e-12 for an integer k >= 1
+    and both count vectors sum to N; None when there is no such N.
+    """
+    m = len(mu)
+    totals = np.arange(max(m, len(nu)), MAX_SUPPORT + 1)
+    scaled = np.outer(totals, np.concatenate([mu.weights, nu.weights]))
+    counts = np.rint(scaled)
+    fits = (np.all(np.abs(scaled - counts) <= 1e-12, axis=1)
+            & np.all(counts >= 1, axis=1)
+            & (counts[:, :m].sum(axis=1) == totals)
+            & (counts[:, m:].sum(axis=1) == totals))
+    if not fits.any():
+        return None
+    i = int(np.argmax(fits))
+    counts = counts[i].astype(np.intp)
+    return int(totals[i]), counts[:m], counts[m:]
+
+
+def _assignment_plan(C: np.ndarray, total: int, a: np.ndarray,
+                     b: np.ndarray) -> np.ndarray:
+    """Optimal coupling of weights a / total and b / total by assignment.
+
+    Atom i of the source is repeated a[i] times and atom j of the target
+    b[j] times; each assigned pair of unit atoms carries mass 1 / total.
+    """
+    m, n = C.shape
+    owner_row = np.repeat(np.arange(m), a)
+    owner_col = np.repeat(np.arange(n), b)
+    rows, cols = linear_sum_assignment(C[np.ix_(owner_row, owner_col)])
+    pairs = np.bincount(owner_row[rows] * n + owner_col[cols], minlength=m * n)
+    return pairs.reshape(m, n) / total
 
 
 def _lp_plan(C: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -109,7 +147,8 @@ def wasserstein_p_exact(mu: DiscreteMeasure, nu: DiscreteMeasure,
                         space: SpaceSpec, p: float = 1.0):
     """Exact W_p; returns (distance, CouplingPlan).
 
-    Uniform pairs of equal size are solved by assignment, all others by LP.
+    Count-weighted pairs (every weight of both measures k/N, one N <= 64)
+    are solved by assignment, all others by LP.
     """
     if not 1.0 <= p < np.inf:
         raise TransportError(f"need finite p >= 1, got {p}")
@@ -120,10 +159,9 @@ def wasserstein_p_exact(mu: DiscreteMeasure, nu: DiscreteMeasure,
         raise TransportError(
             f"support sizes ({m}, {n}) exceed the cap of {MAX_SUPPORT}")
     C = cost_matrix(mu, nu, space, p)
-    if _is_uniform_pair(mu, nu):
-        rows, cols = linear_sum_assignment(C)
-        matrix = np.zeros((m, n))
-        matrix[rows, cols] = mu.weights[0]
+    counts = _unit_counts(mu, nu)
+    if counts is not None:
+        matrix = _assignment_plan(C, *counts)
     else:
         matrix = _lp_plan(C, mu.weights, nu.weights)
     plan = CouplingPlan(matrix, mu.weights, nu.weights)

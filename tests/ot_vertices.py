@@ -2,7 +2,9 @@
 
 Enumerates every vertex of the coupling polytope (basic solutions of the
 marginal equality system) and takes the cheapest feasible one.  Only
-sensible for supports up to 4x4; used to validate the LP solver.
+sensible for supports up to 4x4; it validates both solve paths of
+``transport.wasserstein_p_exact``, the assignment for count-weighted pairs
+and the LP for all others.
 """
 
 import itertools

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from bwgan import checkpoint, cli, spaces, training
+from bwgan import checkpoint, cli, spaces, training, transport
 from bwgan.nets import Critic
 
 L2 = spaces.lp_space(2.0)
@@ -107,6 +107,32 @@ def test_wasserstein_command_p2(tmp_path, capsys):
     b = write_measure(tmp_path, [[0.5, 2.0], [0.5, 3.0]], "b.txt")
     assert cli.main(["wasserstein", a, b, "--wp", "2"]) == cli.EXIT_OK
     assert capsys.readouterr().out.strip() == "w2=2"
+
+
+@pytest.mark.parametrize("weights", [
+    [0.1, 0.2, 0.7],
+    # these sum to 1 - 2^-53; after read_measure divides by the sum, 7 w
+    # misses its integer by 4.4e-16, so only the count tolerance sees counts
+    ["0.14285714285714285", "0.2857142857142857", "0.2857142857142857",
+     "0.2857142857142857"],
+], ids=["tenths", "sevenths"])
+def test_wasserstein_count_weighted_files_skip_lp(tmp_path, capsys, monkeypatch,
+                                                  weights):
+    coords = [[0.0, 0.0], [1.0, 2.0], [-1.0, 0.5], [0.3, -0.2]]
+    a = write_measure(tmp_path, [[w] + x for w, x in zip(weights, coords)], "a.txt")
+    b = write_measure(tmp_path, [[0.5, 2.0, 1.0], [0.5, 0.0, -3.0]], "b.txt")
+    mu, nu = cli.read_measure(a), cli.read_measure(b)
+    C = transport.cost_matrix(mu, nu, L2)
+    lp_value = float(np.sum(transport._lp_plan(C, mu.weights, nu.weights) * C))
+
+    def no_lp(*args, **kwargs):
+        raise AssertionError("count-weighted pair reached the LP")
+
+    monkeypatch.setattr(transport, "linprog", no_lp)
+    assert cli.main(["wasserstein", a, b]) == cli.EXIT_OK
+    out = capsys.readouterr().out.strip()
+    assert out.startswith("w1=")
+    assert float(out[3:]) == pytest.approx(lp_value, abs=1e-9)
 
 
 def test_wasserstein_rejects_bad_weights(tmp_path, capsys):

@@ -34,6 +34,26 @@ def test_measure_rejects_length_mismatch():
         transport.DiscreteMeasure(np.zeros((3, 1)), [0.5, 0.5])
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("points, weights", [
+    ([[0.0], [5.0]], [NAN, 1.0]),
+    ([[0.0], [5.0]], [INF, 0.5]),
+    ([[0.0], [5.0]], [0.5, -INF]),
+    ([[0.0], [NAN]], [0.5, 0.5]),
+    ([[INF], [1.0]], [0.5, 0.5]),
+    ([[0.0], [NAN]], [1 / 65, 64 / 65]),
+    ([[-INF], [1.0]], [1 / 65, 64 / 65]),
+], ids=["nan-weight", "inf-weight", "minus-inf-weight",
+        "nan-point-counts", "inf-point-counts", "nan-point-lp", "minus-inf-point-lp"])
+def test_measure_rejects_non_finite_entries(points, weights):
+    # The "-counts" measures are count-weighted (assignment path), the
+    # "-lp" ones are not (1/65 has no denominator <= MAX_SUPPORT).
+    with pytest.raises(transport.TransportError, match="finite"):
+        transport.DiscreteMeasure(points, weights)
+
+
 def test_measure_flattens_points():
     m = transport.DiscreteMeasure(np.zeros((2, 4, 4)), [0.5, 0.5])
     assert m.points.shape == (2, 16)
@@ -151,8 +171,91 @@ def test_pairwise_norms_rejects_wrong_signal_size():
 
 
 # ---------------------------------------------------------------------------
-# Assignment path for uniform measures of equal size
+# Assignment path for count-weighted measures
 # ---------------------------------------------------------------------------
+
+def forbid_lp(monkeypatch):
+    def no_lp(*args, **kwargs):
+        raise AssertionError("count-weighted pair reached the LP")
+
+    monkeypatch.setattr(transport, "linprog", no_lp)
+
+
+def count_lp_calls(monkeypatch):
+    calls = []
+    linprog = transport.linprog
+
+    def counting_linprog(*args, **kwargs):
+        calls.append(1)
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setattr(transport, "linprog", counting_linprog)
+    return calls
+
+
+def random_counts(rng, size, total):
+    """``size`` positive integers summing to ``total``."""
+    cuts = np.sort(rng.choice(np.arange(1, total), size - 1, replace=False))
+    return np.diff(np.concatenate([[0], cuts, [total]]))
+
+def test_count_weighted_pairs_of_unequal_size_solved_by_assignment(monkeypatch):
+    forbid_lp(monkeypatch)
+    rng = np.random.default_rng(9)
+    for m in range(1, 5):
+        for n in range(1, 5):
+            for p in (1.0, 2.0):
+                total = int(rng.integers(max(m, n), 9))
+                a = random_counts(rng, m, total) / total
+                b = random_counts(rng, n, total) / total
+                mu = transport.DiscreteMeasure(rng.standard_normal((m, 2)), a)
+                nu = transport.DiscreteMeasure(rng.standard_normal((n, 2)), b)
+                dist, plan = transport.wasserstein_p_exact(mu, nu, L2, p)
+                cost = transport.cost_matrix(mu, nu, L2, p)
+                brute = min_cost_by_enumeration(cost, a, b) ** (1.0 / p)
+                assert dist == pytest.approx(brute, abs=1e-12)
+                assert plan.marginal_error() <= 1e-12
+
+
+@pytest.mark.parametrize("space, dim", [
+    (L2, 2), (spaces.sobolev_space(1.0, 2.0, (16, 16), 5.0), 256)],
+    ids=["L2", "W1,2"])
+def test_compositions_of_64_match_lp_cost(monkeypatch, space, dim):
+    calls = count_lp_calls(monkeypatch)
+    for seed in range(10):
+        rng = np.random.default_rng(100 + seed)
+        mu = transport.DiscreteMeasure(rng.standard_normal((40, dim)),
+                                       random_counts(rng, 40, 64) / 64)
+        nu = transport.DiscreteMeasure(rng.standard_normal((25, dim)) + 0.5,
+                                       random_counts(rng, 25, 64) / 64)
+        dist, plan = transport.wasserstein_p_exact(mu, nu, space, 1.0)
+        assert calls == []
+        C = transport.cost_matrix(mu, nu, space)
+        lp_cost = float(np.sum(transport._lp_plan(C, mu.weights, nu.weights) * C))
+        calls.clear()
+        # HiGHS stops at its default feasibility tolerance, 1e-7.
+        assert dist == pytest.approx(lp_cost, rel=1e-7)
+        assert plan.marginal_error() <= 1e-12
+
+
+def test_pairs_not_count_weighted_take_lp_once(monkeypatch):
+    calls = count_lp_calls(monkeypatch)
+    rng = np.random.default_rng(10)
+    pairs = [(random_measure(rng, m), random_measure(rng, n))
+             for m, n in ((2, 3), (4, 4), (3, 1))]
+    # 1/65 is k/N for no N <= MAX_SUPPORT, although the other side is uniform.
+    beyond_cap = transport.DiscreteMeasure(rng.standard_normal((2, 2)),
+                                           [1 / 65, 64 / 65])
+    pairs.append((beyond_cap, transport.DiscreteMeasure(
+        rng.standard_normal((2, 2)), [0.5, 0.5])))
+    for mu, nu in pairs:
+        calls.clear()
+        dist, plan = transport.wasserstein_p_exact(mu, nu, L2, 1.0)
+        assert calls == [1]
+        cost = transport.cost_matrix(mu, nu, L2)
+        assert dist == pytest.approx(
+            min_cost_by_enumeration(cost, mu.weights, nu.weights), abs=1e-9)
+        assert plan.marginal_error() <= transport.MARGINAL_TOL
+
 
 def test_uniform_pairs_solved_by_assignment(monkeypatch):
     def no_lp(*args, **kwargs):
