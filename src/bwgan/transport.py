@@ -97,8 +97,15 @@ def _unit_counts(mu: DiscreteMeasure, nu: DiscreteMeasure):
     and both count vectors sum to N; None when there is no such N.
     """
     m = len(mu)
+    weights = np.concatenate([mu.weights, nu.weights])
     totals = np.arange(max(m, len(nu)), MAX_SUPPORT + 1)
-    scaled = np.outer(totals, np.concatenate([mu.weights, nu.weights]))
+    # Screen the candidates on the first weight alone, so that pairs with
+    # general weights reach the LP without paying for the full check.
+    first = totals * weights[0]
+    totals = totals[np.abs(first - np.rint(first)) <= 1e-12]
+    if totals.size == 0:
+        return None
+    scaled = np.outer(totals, weights)
     counts = np.rint(scaled)
     fits = (np.all(np.abs(scaled - counts) <= 1e-12, axis=1)
             & np.all(counts >= 1, axis=1)

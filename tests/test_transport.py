@@ -110,14 +110,33 @@ def test_distance_in_non_euclidean_norm():
 # LP against the vertex-enumeration oracle
 # ---------------------------------------------------------------------------
 
-def test_lp_matches_vertex_enumeration():
+def test_lp_matches_vertex_enumeration(monkeypatch):
+    lp_calls = []
+    linprog = transport.linprog
+
+    def counting_linprog(*args, **kwargs):
+        lp_calls.append(1)
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setattr(transport, "linprog", counting_linprog)
     rng = np.random.default_rng(1)
+    cases = []
     for _ in range(40):
         m, n = rng.integers(2, 5, size=2)
         mu = random_measure(rng, m)
         nu = random_measure(rng, n)
-        p = float(rng.choice([1.0, 2.0]))
+        cases.append((mu, nu, float(rng.choice([1.0, 2.0]))))
+    # 1/65 is k/N for no N <= MAX_SUPPORT, although the other side is
+    # uniform; in either order, so that the uniform side's weights come
+    # first once.
+    beyond_cap = transport.DiscreteMeasure(rng.standard_normal((2, 2)),
+                                           [1 / 65, 64 / 65])
+    halves = transport.DiscreteMeasure(rng.standard_normal((2, 2)), [0.5, 0.5])
+    cases += [(beyond_cap, halves, 1.0), (halves, beyond_cap, 1.0)]
+    for mu, nu, p in cases:
+        lp_calls.clear()
         dist, plan = transport.wasserstein_p_exact(mu, nu, L2, p)
+        assert lp_calls == [1]
         cost = transport.cost_matrix(mu, nu, L2, p)
         brute = min_cost_by_enumeration(cost, mu.weights, nu.weights) ** (1.0 / p)
         assert dist == pytest.approx(brute, abs=1e-9)
@@ -174,32 +193,17 @@ def test_pairwise_norms_rejects_wrong_signal_size():
 # Assignment path for count-weighted measures
 # ---------------------------------------------------------------------------
 
-def forbid_lp(monkeypatch):
-    def no_lp(*args, **kwargs):
-        raise AssertionError("count-weighted pair reached the LP")
-
-    monkeypatch.setattr(transport, "linprog", no_lp)
-
-
-def count_lp_calls(monkeypatch):
-    calls = []
-    linprog = transport.linprog
-
-    def counting_linprog(*args, **kwargs):
-        calls.append(1)
-        return linprog(*args, **kwargs)
-
-    monkeypatch.setattr(transport, "linprog", counting_linprog)
-    return calls
-
-
 def random_counts(rng, size, total):
     """``size`` positive integers summing to ``total``."""
     cuts = np.sort(rng.choice(np.arange(1, total), size - 1, replace=False))
     return np.diff(np.concatenate([[0], cuts, [total]]))
 
+
 def test_count_weighted_pairs_of_unequal_size_solved_by_assignment(monkeypatch):
-    forbid_lp(monkeypatch)
+    def no_lp(*args, **kwargs):
+        raise AssertionError("count-weighted pair reached the LP")
+
+    monkeypatch.setattr(transport, "linprog", no_lp)
     rng = np.random.default_rng(9)
     for m in range(1, 5):
         for n in range(1, 5):
@@ -220,41 +224,26 @@ def test_count_weighted_pairs_of_unequal_size_solved_by_assignment(monkeypatch):
     (L2, 2), (spaces.sobolev_space(1.0, 2.0, (16, 16), 5.0), 256)],
     ids=["L2", "W1,2"])
 def test_compositions_of_64_match_lp_cost(monkeypatch, space, dim):
-    calls = count_lp_calls(monkeypatch)
+    cases = []
     for seed in range(10):
         rng = np.random.default_rng(100 + seed)
         mu = transport.DiscreteMeasure(rng.standard_normal((40, dim)),
                                        random_counts(rng, 40, 64) / 64)
         nu = transport.DiscreteMeasure(rng.standard_normal((25, dim)) + 0.5,
                                        random_counts(rng, 25, 64) / 64)
-        dist, plan = transport.wasserstein_p_exact(mu, nu, space, 1.0)
-        assert calls == []
         C = transport.cost_matrix(mu, nu, space)
         lp_cost = float(np.sum(transport._lp_plan(C, mu.weights, nu.weights) * C))
-        calls.clear()
+        cases.append((mu, nu, lp_cost))
+
+    def no_lp(*args, **kwargs):
+        raise AssertionError("count-weighted pair reached the LP")
+
+    monkeypatch.setattr(transport, "linprog", no_lp)
+    for mu, nu, lp_cost in cases:
+        dist, plan = transport.wasserstein_p_exact(mu, nu, space, 1.0)
         # HiGHS stops at its default feasibility tolerance, 1e-7.
         assert dist == pytest.approx(lp_cost, rel=1e-7)
         assert plan.marginal_error() <= 1e-12
-
-
-def test_pairs_not_count_weighted_take_lp_once(monkeypatch):
-    calls = count_lp_calls(monkeypatch)
-    rng = np.random.default_rng(10)
-    pairs = [(random_measure(rng, m), random_measure(rng, n))
-             for m, n in ((2, 3), (4, 4), (3, 1))]
-    # 1/65 is k/N for no N <= MAX_SUPPORT, although the other side is uniform.
-    beyond_cap = transport.DiscreteMeasure(rng.standard_normal((2, 2)),
-                                           [1 / 65, 64 / 65])
-    pairs.append((beyond_cap, transport.DiscreteMeasure(
-        rng.standard_normal((2, 2)), [0.5, 0.5])))
-    for mu, nu in pairs:
-        calls.clear()
-        dist, plan = transport.wasserstein_p_exact(mu, nu, L2, 1.0)
-        assert calls == [1]
-        cost = transport.cost_matrix(mu, nu, L2)
-        assert dist == pytest.approx(
-            min_cost_by_enumeration(cost, mu.weights, nu.weights), abs=1e-9)
-        assert plan.marginal_error() <= transport.MARGINAL_TOL
 
 
 def test_uniform_pairs_solved_by_assignment(monkeypatch):
