@@ -28,11 +28,6 @@ class GraphError(ValueError):
     """Raised for structural misuse (non-scalar output, missing input, ...)."""
 
 
-def _as_array(value) -> np.ndarray:
-    arr = np.asarray(value, dtype=np.float64)
-    return arr
-
-
 class Node:
     """One vertex of a computation graph.
 
@@ -56,27 +51,9 @@ class Node:
         """Cotangent for parent ``index``; None when it is identically zero."""
         raise NotImplementedError
 
-    # -- operator sugar -------------------------------------------------
-    def __add__(self, other):
-        return add(self, wrap(other))
-
-    def __radd__(self, other):
-        return add(wrap(other), self)
-
-    def __sub__(self, other):
-        return sub(self, wrap(other))
-
-    def __rsub__(self, other):
-        return sub(wrap(other), self)
-
     def __mul__(self, other):
+        # spaces._norm scales numpy rows and graph nodes with the same ``*``
         return mul(self, wrap(other))
-
-    def __rmul__(self, other):
-        return mul(wrap(other), self)
-
-    def __neg__(self):
-        return neg(self)
 
     def __repr__(self):
         return f"<{type(self).__name__}#{self.id} shape={self.shape}>"
@@ -99,7 +76,7 @@ class Constant(Node):
     __slots__ = ("value",)
 
     def __init__(self, value):
-        value = _as_array(value)
+        value = np.asarray(value, dtype=np.float64)
         super().__init__(value.shape)
         self.value = value
 
@@ -254,7 +231,7 @@ class Tanh(Node):
         return np.tanh(a)
 
     def vjp(self, g, index):
-        return mul(g, Constant(1.0) - mul(self, self))
+        return mul(g, sub(1.0, mul(self, self)))
 
 
 class Softplus(Node):
@@ -281,7 +258,7 @@ class Sigmoid(Node):
         return out
 
     def vjp(self, g, index):
-        return mul(g, mul(self, Constant(1.0) - self))
+        return mul(g, mul(self, sub(1.0, self)))
 
 
 class Relu(Node):
@@ -335,7 +312,7 @@ class AbsPow(Node):
 
     def vjp(self, g, index):
         x = self.parents[0]
-        return mul(g, Constant(self.exponent) * signed_abs_pow(x, self.exponent - 1.0))
+        return mul(g, mul(self.exponent, signed_abs_pow(x, self.exponent - 1.0)))
 
 
 class SignedAbsPow(Node):
@@ -359,97 +336,57 @@ class SignedAbsPow(Node):
 
     def vjp(self, g, index):
         x = self.parents[0]
-        return mul(g, Constant(self.exponent) * abs_pow(x, self.exponent - 1.0))
+        return mul(g, mul(self.exponent, abs_pow(x, self.exponent - 1.0)))
 
 
 # ---------------------------------------------------------------------------
 # Reductions and broadcasts
 # ---------------------------------------------------------------------------
 
-class SumAll(Node):
-    def __init__(self, a):
-        super().__init__((), (a,))
+class Sum(Node):
+    """Sum of every entry (axis None), or over axis 0 or 1 of an (m, n)
+    matrix, which yields (n,) or (m,)."""
 
-    def compute(self, a):
-        return np.asarray(np.sum(a))
+    __slots__ = ("axis",)
 
-    def vjp(self, g, index):
-        return fill(g, self.parents[0].shape)
-
-
-class SumCols(Node):
-    """Sum over axis 0 of an (m, n) matrix, yielding (n,)."""
-
-    def __init__(self, a):
-        if len(a.shape) != 2:
-            raise ShapeError(f"sum_cols: need 2-D, got {a.shape}")
-        super().__init__((a.shape[1],), (a,))
-
-    def compute(self, a):
-        return np.sum(a, axis=0)
-
-    def vjp(self, g, index):
-        return expand_rows(g, self.parents[0].shape[0])
-
-
-class SumRows(Node):
-    """Sum over axis 1 of an (m, n) matrix, yielding (m,)."""
-
-    def __init__(self, a):
-        if len(a.shape) != 2:
-            raise ShapeError(f"sum_rows: need 2-D, got {a.shape}")
-        super().__init__((a.shape[0],), (a,))
-
-    def compute(self, a):
-        return np.sum(a, axis=1)
-
-    def vjp(self, g, index):
-        return expand_cols(g, self.parents[0].shape[1])
-
-
-class Fill(Node):
-    """Broadcast a scalar to a fixed shape."""
-
-    def __init__(self, a, shape):
-        if a.shape != ():
-            raise ShapeError(f"fill: need scalar, got {a.shape}")
+    def __init__(self, a, axis=None):
+        if axis is None:
+            shape = ()
+        elif len(a.shape) != 2:
+            raise ShapeError(f"sum over axis {axis}: need 2-D, got {a.shape}")
+        else:
+            shape = (a.shape[1 - axis],)
         super().__init__(shape, (a,))
+        self.axis = axis
 
     def compute(self, a):
+        return np.asarray(np.sum(a, axis=self.axis))
+
+    def vjp(self, g, index):
+        return Broadcast(g, self.parents[0].shape, self.axis)
+
+
+class Broadcast(Node):
+    """Copy a scalar to every entry of ``shape`` (axis None), or a vector
+    along axis 0 or 1 of an (m, n) matrix; the adjoint of ``Sum``."""
+
+    __slots__ = ("axis",)
+
+    def __init__(self, a, shape, axis=None):
+        shape = tuple(int(d) for d in shape)
+        if a.shape != (() if axis is None else shape[:axis] + shape[axis + 1:]):
+            raise ShapeError(f"broadcast over axis {axis}: cannot copy {a.shape} "
+                             f"to {shape}")
+        super().__init__(shape, (a,))
+        self.axis = axis
+
+    def compute(self, a):
+        if self.axis is not None:
+            a = np.expand_dims(a, self.axis)
         return np.broadcast_to(a, self.shape).copy()
 
     def vjp(self, g, index):
-        return sum_all(g)
-
-
-class ExpandRows(Node):
-    """Tile an (n,) vector into m identical rows of an (m, n) matrix."""
-
-    def __init__(self, a, m):
-        if len(a.shape) != 1:
-            raise ShapeError(f"expand_rows: need 1-D, got {a.shape}")
-        super().__init__((int(m), a.shape[0]), (a,))
-
-    def compute(self, a):
-        return np.broadcast_to(a, self.shape).copy()
-
-    def vjp(self, g, index):
-        return sum_cols(g)
-
-
-class ExpandCols(Node):
-    """Tile an (m,) vector into n identical columns of an (m, n) matrix."""
-
-    def __init__(self, a, n):
-        if len(a.shape) != 1:
-            raise ShapeError(f"expand_cols: need 1-D, got {a.shape}")
-        super().__init__((a.shape[0], int(n)), (a,))
-
-    def compute(self, a):
-        return np.broadcast_to(a[:, None], self.shape).copy()
-
-    def vjp(self, g, index):
-        return sum_rows(g)
+        return Sum(g, self.axis)
 
 
 class SliceCols(Node):
@@ -489,6 +426,12 @@ class PadCols(Node):
         return slice_cols(g, self.before, self.before + self.parents[0].shape[1])
 
 
+def fft_lengths(spatial_shape) -> tuple:
+    """The axes of a signal layout that Fourier multipliers transform: the
+    last one of (n,), the last two of (h, w) or (c, h, w)."""
+    return tuple(spatial_shape[-1:] if len(spatial_shape) == 1 else spatial_shape[-2:])
+
+
 def half_spectrum(multiplier) -> np.ndarray:
     """The part of an even Fourier multiplier that real FFTs use: the first
     n // 2 + 1 entries along its last axis."""
@@ -503,12 +446,12 @@ def fourier_multiply(x, spatial_shape, half) -> np.ndarray:
     ``half`` is ``half_spectrum(m)`` of a multiplier m that is symmetric
     under xi -> -xi, which makes the result real, so real FFTs compute it.
     """
-    nfft = 1 if len(spatial_shape) == 1 else 2
-    axes = tuple(range(-nfft, 0))
+    lengths = fft_lengths(spatial_shape)
+    axes = tuple(range(-len(lengths), 0))
     v = x.reshape(x.shape[:-1] + tuple(spatial_shape))
     spec = scipy.fft.rfftn(v, axes=axes, norm="ortho")
     spec *= half
-    out = scipy.fft.irfftn(spec, s=spatial_shape[-nfft:], axes=axes, norm="ortho")
+    out = scipy.fft.irfftn(spec, s=lengths, axes=axes, norm="ortho")
     return out.reshape(x.shape)
 
 
@@ -528,19 +471,14 @@ class FourierMultiplier(Node):
     def __init__(self, a, spatial_shape, multiplier):
         spatial_shape = tuple(int(d) for d in spatial_shape)
         size = int(np.prod(spatial_shape))
-        if a.shape == (size,):
-            pass
-        elif len(a.shape) == 2 and a.shape[1] == size:
-            pass
-        else:
+        if len(a.shape) not in (1, 2) or a.shape[-1] != size:
             raise ShapeError(
                 f"fourier_multiplier: operand {a.shape} does not hold "
                 f"flattened signals of shape {spatial_shape}")
         super().__init__(a.shape, (a,))
         self.spatial_shape = spatial_shape
         self.multiplier = np.asarray(multiplier, dtype=np.float64)
-        nfft = 1 if len(spatial_shape) == 1 else 2
-        if self.multiplier.shape != spatial_shape[-nfft:]:
+        if self.multiplier.shape != fft_lengths(spatial_shape):
             raise ShapeError("fourier_multiplier: multiplier/signal shape mismatch")
         m = self.multiplier
         reflected = np.roll(np.flip(m), 1, axis=tuple(range(m.ndim)))
@@ -617,27 +555,17 @@ def signed_abs_pow(a, exponent):
 
 
 def sum_all(a):
-    return SumAll(wrap(a))
+    return Sum(wrap(a))
 
 
 def sum_cols(a):
-    return SumCols(wrap(a))
+    """Column sums of an (m, n) matrix: the sum over axis 0, shape (n,)."""
+    return Sum(wrap(a), 0)
 
 
 def sum_rows(a):
-    return SumRows(wrap(a))
-
-
-def fill(a, shape):
-    return Fill(wrap(a), shape)
-
-
-def expand_rows(a, m):
-    return ExpandRows(wrap(a), m)
-
-
-def expand_cols(a, n):
-    return ExpandCols(wrap(a), n)
+    """Row sums of an (m, n) matrix: the sum over axis 1, shape (m,)."""
+    return Sum(wrap(a), 1)
 
 
 def slice_cols(a, start, stop):
@@ -752,7 +680,7 @@ class Program:
 def _bind(node: Input, env) -> np.ndarray:
     if node not in env:
         raise GraphError(f"no value bound for {node!r}")
-    val = _as_array(env[node])
+    val = np.asarray(env[node], dtype=np.float64)
     if val.shape != node.shape:
         raise ShapeError(f"value of shape {val.shape} bound to {node!r}")
     return val

@@ -53,22 +53,21 @@ def add_space_flags(parser):
                         help="signal shape like 16x16 or 3x16x16 (sobolev)")
 
 
-def parse_shape(raw: str | None, flat_size: int | None):
+def parse_shape(raw: str | None, default: tuple):
     if raw is None:
-        return (flat_size,) if flat_size else None
+        return default
     try:
         return tuple(int(d) for d in raw.lower().split("x"))
     except ValueError:
         raise CliError(f"bad --shape {raw!r}; expected e.g. 16x16")
 
 
-def space_from_flags(args, flat_size=None) -> SpaceSpec:
+def space_from_flags(args, default_shape: tuple) -> SpaceSpec:
+    """The space the flags name; a Sobolev space without --shape takes the
+    layout of the input, ``default_shape``."""
     if args.space == "lp":
         return spaces.lp_space(args.p, args.measure)
-    shape = parse_shape(args.shape, flat_size)
-    if shape is None:
-        raise CliError("sobolev space needs --shape or an input signal")
-    return spaces.sobolev_space(args.s, args.p, shape,
+    return spaces.sobolev_space(args.s, args.p, parse_shape(args.shape, default_shape),
                                 args.frequency_scale, args.measure)
 
 
@@ -112,9 +111,8 @@ def load_run_config(path):
     if family not in ("lp", "sobolev"):
         raise CliError(f"unsupported space family {family!r} in config")
     if family == "sobolev" and "signal_shape" not in space_doc:
-        dataset = train_doc.get("dataset", TrainConfig.dataset)
-        space_doc["signal_shape"] = ((16, 16) if dataset == "rectangles"
-                                     else (datasets.dataset_dim(dataset),))
+        space_doc["signal_shape"] = datasets.signal_shape(
+            train_doc.get("dataset", TrainConfig.dataset))
     space = SpaceSpec(**space_doc)
 
     try:
@@ -209,7 +207,7 @@ def read_measure(path) -> DiscreteMeasure:
 
 def cmd_norm(args) -> int:
     x = read_signal(args.input)
-    space = space_from_flags(args, flat_size=x.size)
+    space = space_from_flags(args, (x.size,))
     value = spaces.norm(space, x)
     if space.p > 1.0:
         dual = spaces.dual_norm(space, x)
@@ -233,11 +231,11 @@ def cmd_heuristics(args) -> int:
         if args.dim < 1:
             raise CliError("need --dim >= 1")
         sampler = uniform_cube(args.dim)
-        dim = args.dim
+        shape = (args.dim,)
     else:
         sampler = datasets.make_sampler(args.dataset)
-        dim = datasets.dataset_dim(args.dataset)
-    space = space_from_flags(args, flat_size=dim)
+        shape = datasets.signal_shape(args.dataset)
+    space = space_from_flags(args, shape)
     lam, lam_se, gam, gam_se = training.heuristic_stats(sampler, rng, args.samples, space)
     print(f"lambda={lam:.12g} stderr={lam_se:.6g}")
     print(f"gamma={gam:.12g} stderr={gam_se:.6g}")
@@ -247,7 +245,10 @@ def cmd_heuristics(args) -> int:
 
 def cmd_train(args) -> int:
     config, out_dir, log_every = load_run_config(args.config)
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise CliError(f"cannot create output directory {out_dir}: {exc.strerror}")
     csv_path = os.path.join(out_dir, "metrics.csv")
     try:
         generator, critic, metrics = training.train(config)
@@ -278,20 +279,32 @@ def cmd_train(args) -> int:
 
 
 def critic_from_checkpoint(path, activation="relu") -> Critic:
-    """Rebuild a critic from checkpoint tensors; widths come from shapes."""
+    """Rebuild a critic from checkpoint tensors; widths come from shapes.
+
+    The checkpoint must hold exactly the rebuilt critic's tensors, with
+    their shapes.
+    """
     try:
         tensors = checkpoint.load_tensors(path)
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc.strerror}")
-    widths = []
-    i = 0
-    while f"critic.w{i}" in tensors:
-        widths.append(tensors[f"critic.w{i}"].shape[1])
-        i += 1
-    if not widths or widths[-1] != 1:
+    weights = []
+    while f"critic.w{len(weights)}" in tensors:
+        weights.append(tensors[f"critic.w{len(weights)}"])
+    if not weights or any(w.ndim != 2 or 0 in w.shape for w in weights) \
+            or weights[-1].shape[1] != 1:
         raise CliError(f"{path}: not a critic checkpoint")
-    in_dim = tensors["critic.w0"].shape[0]
-    critic = Critic(in_dim, tuple(widths[:-1]), activation)
+    critic = Critic(weights[0].shape[0], tuple(w.shape[1] for w in weights[:-1]),
+                    activation)
+    params = critic.mlp.params
+    for name in sorted(set(params) | set(tensors)):
+        if name not in tensors:
+            raise CliError(f"{path}: missing tensor {name}")
+        if name not in params:
+            raise CliError(f"{path}: unexpected tensor {name}")
+        if tensors[name].shape != params[name].shape:
+            raise CliError(f"{path}: tensor {name} has shape {tensors[name].shape}, "
+                           f"expected {params[name].shape}")
     critic.mlp.set_params(tensors)
     return critic
 
@@ -300,7 +313,7 @@ def cmd_wasserstein(args) -> int:
     mu = read_measure(args.measure_a)
     nu = read_measure(args.measure_b)
     dim = mu.points.shape[1]
-    space = space_from_flags(args, flat_size=dim)
+    space = space_from_flags(args, (dim,))
     if args.check_dual:
         critic = critic_from_checkpoint(args.check_dual, args.activation)
         if critic.in_dim != dim:

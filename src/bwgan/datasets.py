@@ -77,5 +77,11 @@ def make_sampler(name: str):
     return SAMPLERS[name]
 
 
+def signal_shape(name: str) -> tuple:
+    """The layout of one sample: the image grid for rectangles, a point of
+    the plane otherwise."""
+    return RECT_SHAPE if name == "rectangles" else (2,)
+
+
 def dataset_dim(name: str) -> int:
-    return 256 if name == "rectangles" else 2
+    return int(np.prod(signal_shape(name)))

@@ -77,7 +77,7 @@ class SpaceSpec:
                 raise SpaceError(f"frequency_scale must be positive and finite, "
                                  f"got {self.frequency_scale}")
             self.signal_shape = tuple(int(d) for d in shape)
-            for n in _fft_lengths(self.signal_shape):
+            for n in ad.fft_lengths(self.signal_shape):
                 if n & (n - 1) or n == 0:
                     raise SpaceError(
                         f"sobolev FFT axes must be powers of two, got {self.signal_shape}")
@@ -149,10 +149,6 @@ def _lp_norm_rows(X, p):
 # Sobolev multiplier
 # ---------------------------------------------------------------------------
 
-def _fft_lengths(spatial_shape):
-    return spatial_shape[-1:] if len(spatial_shape) == 1 else spatial_shape[-2:]
-
-
 @lru_cache(maxsize=64)
 def sobolev_weights(spatial_shape: tuple, s: float, frequency_scale: float):
     """Multiplier (1 + |xi|^2)^(s/2) on the FFT grid of the trailing axes.
@@ -161,13 +157,8 @@ def sobolev_weights(spatial_shape: tuple, s: float, frequency_scale: float):
     mapped to xi = frequency_scale * k / (N/2), so |xi| <= frequency_scale
     per axis.
     """
-    lengths = _fft_lengths(spatial_shape)
-    grids = []
-    for n in lengths:
-        if n & (n - 1) or n == 0:
-            raise SpaceError(f"FFT axis length {n} is not a power of two")
-        xi = 2.0 * frequency_scale * np.fft.fftfreq(n)
-        grids.append(xi)
+    lengths = ad.fft_lengths(spatial_shape)
+    grids = [2.0 * frequency_scale * np.fft.fftfreq(n) for n in lengths]
     if len(lengths) == 1:
         xi_sq = grids[0] ** 2
     else:

@@ -189,6 +189,31 @@ def test_op_gradient_matches_finite_differences(name, build, shape, domain):
     np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-9)
 
 
+# f(x) whose input gradient depends on x, so the gradient of |grad f|^2
+# runs through the vjp of every node in the first gradient
+SECOND_ORDER_CASES = [
+    ("sum_all", lambda x: ad.tanh(ad.sum_all(x))),
+    ("sum_rows", lambda x: ad.sum_all(ad.tanh(ad.sum_rows(x)))),
+    ("sum_cols", lambda x: ad.sum_all(ad.tanh(ad.sum_cols(x)))),
+    ("slice_cols", lambda x: ad.sum_all(ad.tanh(ad.slice_cols(x, 1, 3)))),
+]
+
+
+@pytest.mark.parametrize("name,build", SECOND_ORDER_CASES,
+                         ids=[c[0] for c in SECOND_ORDER_CASES])
+def test_second_derivative_matches_finite_differences(name, build):
+    x0 = np.random.default_rng(len(name)).standard_normal((3, 4))
+    x = ad.Input((3, 4), name="x")
+    gx = ad.grad(build(x), x)
+    grad_sq = ad.sum_all(ad.mul(gx, gx))
+    got = ad.evaluate(ad.grad(grad_sq, x), {x: x0})
+
+    def value(v):
+        return float(ad.evaluate(grad_sq, {x: v}))
+
+    np.testing.assert_allclose(got, central_diff(value, x0.copy()), rtol=1e-6, atol=1e-9)
+
+
 def test_gradient_linearity():
     x = ad.Input((4,), name="x")
     f1 = ad.sum_all(ad.abs_pow(x, 2.0))

@@ -244,6 +244,15 @@ def test_heuristics_uniform_cube(tmp_path, capsys):
     assert lines[2] == "samples=500"
 
 
+def test_heuristics_sobolev_defaults_to_the_dataset_layout(capsys):
+    args = ["heuristics", "--dataset", "rectangles", "--space", "sobolev",
+            "--s", "1", "--samples", "64"]
+    assert cli.main(args) == cli.EXIT_OK
+    default = capsys.readouterr().out
+    assert cli.main(args + ["--shape", "16x16"]) == cli.EXIT_OK
+    assert default == capsys.readouterr().out
+
+
 def test_heuristics_rejects_p_one(capsys):
     assert cli.main(["heuristics", "--p", "1"]) == cli.EXIT_USAGE
 
@@ -266,6 +275,13 @@ def test_verify_single_suite_passes(capsys):
     assert cli.main(["verify", "--suite", "sobolev0"]) == cli.EXIT_OK
     out = capsys.readouterr().out
     assert "sobolev0: PASS" in out
+
+
+def test_verify_runs_every_suite_by_default(capsys):
+    assert cli.main(["verify"]) == cli.EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == list(cli.SUITES)
+    assert all(": PASS (" in line for line in lines)
 
 
 def test_verify_fault_injection_fails(capsys):
@@ -382,6 +398,16 @@ def test_train_rejects_bool_lambda_gamma(tmp_path, capsys, key):
     assert len(captured.err.strip().splitlines()) == 1
 
 
+def test_train_uncreatable_directory_exits_2_before_training(tmp_path, capsys,
+                                                             monkeypatch):
+    (tmp_path / "afile").write_text("")
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(tiny_config_doc(tmp_path / "afile" / "sub")))
+    monkeypatch.setattr(training, "train", None)
+    assert cli.main(["train", str(config)]) == cli.EXIT_USAGE
+    assert_one_error_line(capsys)
+
+
 def test_train_rejects_malformed_json(tmp_path, capsys):
     config = tmp_path / "run.json"
     config.write_text("{not json")
@@ -443,6 +469,39 @@ def test_critic_from_checkpoint_rejects_generator(tmp_path):
     checkpoint.save_tensors(path, gen.mlp.params)
     with pytest.raises(cli.CliError):
         cli.critic_from_checkpoint(path)
+
+
+def unchained(params):
+    params["critic.w1"] = np.ones((5, 1))
+    return params
+
+
+def with_generator_tensor(params):
+    params["gen.w0"] = np.ones((4, 8))
+    return params
+
+
+def without_biases(params):
+    return {k: v for k, v in params.items() if ".b" not in k}
+
+
+def with_empty_layer(params):
+    return {"critic.w0": np.ones((0, 1)), "critic.b0": np.zeros(1)}
+
+
+@pytest.mark.parametrize("edit", [unchained, with_generator_tensor, without_biases,
+                                  with_empty_layer],
+                         ids=["unchained-shapes", "extra-tensor", "no-biases",
+                              "empty-layer"])
+def test_check_dual_with_mismatched_tensors_exits_2(tmp_path, capsys, edit):
+    critic = Critic(2, (8,), "relu", rng=np.random.default_rng(3))
+    ckpt = tmp_path / "critic.ckpt"
+    checkpoint.save_tensors(ckpt, edit(dict(critic.mlp.params)))
+    mu = write_measure(tmp_path, [[0.5, 0.0, 0.0], [0.5, 1.0, 1.0]], "mu.txt")
+    assert cli.main(["wasserstein", mu, mu, "--check-dual", str(ckpt)]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -339,8 +339,9 @@ def reference_walk(roots, env):
 
 
 @pytest.mark.parametrize("activation", ["relu", "tanh"])
-@pytest.mark.parametrize("space", [L2, spaces.sobolev_space(1.0, 2.0, (4, 4))],
-                         ids=["L2", "W12"])
+@pytest.mark.parametrize("space", [L2, spaces.sobolev_space(1.0, 2.0, (4, 4)),
+                                   spaces.lp_space(np.inf)],
+                         ids=["L2", "W12", "Linf"])
 def test_loss_graphs_bit_equal_to_reference_walk(activation, space):
     rng = np.random.default_rng(8)
     b, dim = 8, 16
