@@ -1,11 +1,13 @@
 """Small fully connected networks as reusable graph templates.
 
-Parameters live as numpy arrays bound to Input placeholders, so each
-program is compiled on first use, once per kind and batch size, and
-re-evaluated as the parameters change.
+Parameters live as numpy arrays, bound at each call to Input placeholders,
+so each program is compiled on first use, once per architecture, kind and
+batch size, and shared by every network of that architecture.
 """
 
 from __future__ import annotations
+
+from functools import cache
 
 import numpy as np
 
@@ -30,6 +32,7 @@ class MLP:
         self.params: dict[str, np.ndarray] = {}
         self.nodes: dict[str, ad.Input] = {}
         dims = [self.in_dim, *widths, self.out_dim]
+        self.architecture = (*dims, activation)
         n_layers = len(dims) - 1
         for i, (a, b) in enumerate(zip(dims[:-1], dims[1:])):
             scale = np.sqrt(2.0 / a) if activation == "relu" else np.sqrt(1.0 / a)
@@ -46,13 +49,14 @@ class MLP:
         self.params[key] = value
         self.nodes[key] = ad.Input(value.shape, name=key)
 
-    def apply(self, x: ad.Node) -> ad.Node:
-        """Build the forward graph for a (batch, in_dim) operand."""
+    def apply(self, x: ad.Node, nodes=None) -> ad.Node:
+        """Build the forward graph for a (batch, in_dim) operand on
+        ``nodes`` (parameter name -> Input), the network's own by default."""
+        nodes = self.nodes if nodes is None else nodes
         act = ACTIVATIONS[self.activation]
         h = x
         for i in range(self.n_layers):
-            h = ad.affine(h, self.nodes[f"{self.name}.w{i}"],
-                          self.nodes[f"{self.name}.b{i}"])
+            h = ad.affine(h, nodes[f"{self.name}.w{i}"], nodes[f"{self.name}.b{i}"])
             if i < self.n_layers - 1:
                 h = act(h)
         return h
@@ -72,36 +76,62 @@ class MLP:
             self.params[k] = np.asarray(v, dtype=np.float64)
 
 
+@cache
+def _shared_programs(role, architecture) -> dict:
+    """Programs of every network of one role and architecture; an entry is
+    a few KB, one per kind and batch size used, and is never evicted."""
+    return {}
+
+
+def _call(programs, kind, X, in_dim, build, params):
+    """Evaluate the program of ``kind`` at X's batch size, compiling
+    ``build(x, nodes)`` on a miss, where ``nodes`` are fresh Inputs for the
+    arrays in ``params``.  The arrays are bound by position, never by name,
+    so networks of one architecture share a program but no Input nodes."""
+    key = (kind, X.shape[0])
+    if key not in programs:
+        x = ad.Input((X.shape[0], in_dim), name="x")
+        nodes = {k: ad.Input(v.shape, name=k) for k, v in params.items()}
+        programs[key] = (x, list(nodes.values()), ad.Program(build(x, nodes)))
+    x, inputs, program = programs[key]
+    env = dict(zip(inputs, params.values()))
+    env[x] = X
+    return program(env)
+
+
 class GraphCritic:
     """Scalar map on flattened signals, defined by a graph template.
 
     ``build_scores`` maps a (batch, in_dim) node to a (batch,) node of
     per-sample scores.  The value and input-gradient programs are compiled
-    separately on first use and cached per (kind, batch size).
-    ``extra_env`` supplies parameter bindings, if any.
+    separately on first use and cached per (kind, batch size) in a cache
+    of this critic's own.
     """
 
-    def __init__(self, in_dim, build_scores, extra_env=None):
+    def __init__(self, in_dim, build_scores):
         self.in_dim = int(in_dim)
         self.build_scores = build_scores
-        self.extra_env = extra_env if extra_env is not None else dict
         self._cache = {}
+
+    def _scores(self, x, nodes):
+        return self.build_scores(x)
+
+    def _params(self):
+        """Parameter arrays by name, bound at each call."""
+        return {}
 
     def _run(self, kind, X):
         X = np.asarray(X, dtype=np.float64)
         batch = X.shape[0]
-        if (kind, batch) not in self._cache:
-            x = ad.Input((batch, self.in_dim), name="x")
-            scores = self.build_scores(x)
+
+        def build(x, nodes):
+            scores = self._scores(x, nodes)
             if scores.shape != (batch,):
                 raise ad.ShapeError(
                     f"critic scores must have shape ({batch},), got {scores.shape}")
-            out = scores if kind == "value" else ad.grad(ad.sum_all(scores), x)
-            self._cache[kind, batch] = (x, ad.Program(out))
-        x, program = self._cache[kind, batch]
-        env = dict(self.extra_env())
-        env[x] = X
-        return program(env)
+            return scores if kind == "value" else ad.grad(ad.sum_all(scores), x)
+
+        return _call(self._cache, kind, X, self.in_dim, build, self._params())
 
     def value_batch(self, X) -> np.ndarray:
         return self._run("value", X)
@@ -112,15 +142,20 @@ class GraphCritic:
 
 
 class Critic(GraphCritic):
-    """MLP critic: flattened signal -> real score."""
+    """MLP critic: flattened signal -> real score.  It shares its programs
+    with every Critic of the same ``in_dim``, ``widths`` and ``activation``."""
 
     def __init__(self, in_dim, widths=(128, 128, 128), activation="relu", rng=None):
         self.mlp = MLP(in_dim, widths, 1, activation=activation, rng=rng,
                        name="critic")
-        super().__init__(
-            in_dim,
-            lambda x: ad.reshape(self.mlp.apply(x), (x.shape[0],)),
-            extra_env=self.mlp.env)
+        super().__init__(in_dim, self._scores)
+        self._cache = _shared_programs("critic", self.mlp.architecture)
+
+    def _scores(self, x, nodes=None):
+        return ad.reshape(self.mlp.apply(x, nodes), (x.shape[0],))
+
+    def _params(self):
+        return self.mlp.params
 
 
 class Generator:
@@ -132,17 +167,9 @@ class Generator:
         self.out_dim = int(out_dim)
         self.mlp = MLP(latent_dim, widths, out_dim, activation=activation,
                        rng=rng, name="gen")
-        self._cache = {}
-
-    def _graphs(self, batch):
-        if batch not in self._cache:
-            z = ad.Input((batch, self.latent_dim), name="z")
-            self._cache[batch] = (z, ad.Program(self.mlp.apply(z)))
-        return self._cache[batch]
+        self._cache = _shared_programs("generator", self.mlp.architecture)
 
     def sample(self, Z) -> np.ndarray:
         Z = np.asarray(Z, dtype=np.float64)
-        z, out = self._graphs(Z.shape[0])
-        env = self.mlp.env()
-        env[z] = Z
-        return out(env)
+        return _call(self._cache, "sample", Z, self.latent_dim, self.mlp.apply,
+                     self.mlp.params)

@@ -290,6 +290,32 @@ def test_verify_fault_injection_fails(capsys):
     assert "holder: FAIL" in capsys.readouterr().out
 
 
+def test_verify_fault_injection_over_every_suite_fails_only_holder(capsys):
+    assert cli.main(["verify", "--perturb-dual-norm", "0.02"]) == cli.EXIT_VERIFY_FAIL
+    failing = [line for line in capsys.readouterr().out.splitlines() if "FAIL (" in line]
+    assert [line.split(":")[0] for line in failing] == ["holder"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--suite", "holder", "--perturb-dual-norm", "inf"],
+    ["--suite", "holder", "--perturb-dual-norm", "nan"],
+    ["--perturb-dual-norm=-inf"],
+    ["--suite", "lemma1", "--perturb-dual-norm", "0.5"],
+    ["--suite", "sobolev0", "--perturb-dual-norm", "0.5"],
+    ["--suite", "doublebackprop", "--perturb-dual-norm=-0.1"],
+])
+def test_verify_rejects_unusable_perturbation(capsys, argv):
+    assert cli.main(["verify", *argv]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+
+
+def test_holder_suite_fails_on_infinite_dual_norm():
+    passed, failed = cli.suite_holder(np.random.default_rng(0), perturb=np.inf)
+    assert passed == 0 and failed > 0
+
+
 def test_verify_validates_config(tmp_path, capsys):
     path = tmp_path / "run.json"
     path.write_text(json.dumps({"train": {"sede": 1}}))
