@@ -10,6 +10,7 @@ releases each intermediate value after its last use.
 
 Supported broadcasting is deliberately narrow: equal shapes, scalar with
 anything, and a (n,) row vector against an (m, n) matrix (bias addition).
+Only ``fourier_multiply`` uses scipy; it imports ``scipy.fft`` when called.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
-import scipy.fft
 
 
 class ShapeError(ValueError):
@@ -446,6 +446,7 @@ def fourier_multiply(x, spatial_shape, half) -> np.ndarray:
     ``half`` is ``half_spectrum(m)`` of a multiplier m that is symmetric
     under xi -> -xi, which makes the result real, so real FFTs compute it.
     """
+    import scipy.fft
     lengths = fft_lengths(spatial_shape)
     axes = tuple(range(-len(lengths), 0))
     v = x.reshape(x.shape[:-1] + tuple(spatial_shape))

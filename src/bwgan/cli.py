@@ -457,8 +457,15 @@ def cmd_verify(args) -> int:
 # Entry point
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Parser whose errors, its subparsers' too, are one line and exit 2."""
+
+    def error(self, message):
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bwgan",
         description="Banach-norm GAN toolkit: norms, transport, training")
     sub = parser.add_subparsers(dest="command", required=True)

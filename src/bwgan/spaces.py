@@ -5,7 +5,8 @@ multiplier (1 + |xi|^2)^(s/2), diagonally weighted spaces, and finite
 products.  Every family comes with its analytic dual norm under the plain
 coordinate pairing <g, x> = sum_i g_i x_i, plus the explicit maximizer of
 the duality quotient, which serves as an independent check of the dual
-norm formulas.
+norm formulas.  Only Sobolev norms (``scipy.fft``) and pairwise L^2
+distances (``scipy.spatial``) load a scipy module, on first use.
 
 Two discretization measures are available.  ``counting`` treats every
 entry with weight 1; ``normalized`` averages (weight 1/N).  The primal
@@ -21,7 +22,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from . import autodiff as ad
 
@@ -251,6 +251,7 @@ class _Pairs(_Rows):
     def lp(self, xy, p):
         X, Y = xy
         if p == 2.0:
+            from scipy.spatial.distance import cdist
             return cdist(X, Y)
         # one row at a time, so no (m, n, size) block is allocated
         out = np.empty((X.shape[0], Y.shape[0]))

@@ -9,7 +9,8 @@ permutation scaled by 1/N, with the same optimal cost.  Uniform pairs of
 equal size are the case k = 1.  Every other pair is solved as a linear
 program over the coupling polytope (HiGHS dual simplex, sparse marginal
 constraints).  Supports are capped at 64 points per measure so each solve
-stays sub-second at desk scale.
+stays sub-second at desk scale.  The scipy solvers are imported at the
+first solve that needs them, the LP through the module-level ``linprog``.
 """
 
 from __future__ import annotations
@@ -17,13 +18,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment, linprog
-from scipy.sparse import csr_array
 
 from .spaces import SpaceSpec, pairwise_norms
 
 MAX_SUPPORT = 64
 MARGINAL_TOL = 1e-9
+
+
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog`` under a name that tracers and tests rebind."""
+    from scipy.optimize import linprog
+    return linprog(*args, **kwargs)
 
 
 class TransportError(ValueError):
@@ -125,6 +130,7 @@ def _assignment_plan(C: np.ndarray, total: int, a: np.ndarray,
     Atom i of the source is repeated a[i] times and atom j of the target
     b[j] times; each assigned pair of unit atoms carries mass 1 / total.
     """
+    from scipy.optimize import linear_sum_assignment
     m, n = C.shape
     owner_row = np.repeat(np.arange(m), a)
     owner_col = np.repeat(np.arange(n), b)
@@ -135,6 +141,7 @@ def _assignment_plan(C: np.ndarray, total: int, a: np.ndarray,
 
 def _lp_plan(C: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Optimal coupling of weights a and b by the LP over the plan entries."""
+    from scipy.sparse import csr_array
     m, n = C.shape
     # Equality constraints on the row-major plan: row sums, then column
     # sums, the last one dropped as redundant.

@@ -311,6 +311,29 @@ def test_verify_rejects_unusable_perturbation(capsys, argv):
     assert len(captured.err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--seed", "x"],
+    ["norm"],
+    [],
+    ["verify", "--perturb-dual-norm", "-inf"],
+], ids=["bad-int", "missing-input", "no-command", "option-like-value"])
+def test_argparse_errors_exit_2_with_one_line(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("bwgan") and ": error: " in captured.err
+    assert len(captured.err.splitlines()) == 1
+
+
+def test_help_prints_usage_and_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: bwgan verify")
+
+
 def test_holder_suite_fails_on_infinite_dual_norm():
     passed, failed = cli.suite_holder(np.random.default_rng(0), perturb=np.inf)
     assert passed == 0 and failed > 0
