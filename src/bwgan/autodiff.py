@@ -10,7 +10,8 @@ releases each intermediate value after its last use.
 
 Supported broadcasting is deliberately narrow: equal shapes, scalar with
 anything, and a (n,) row vector against an (m, n) matrix (bias addition).
-Only ``fourier_multiply`` uses scipy; it imports ``scipy.fft`` when called.
+The engine uses numpy alone.  Linear operators such as the Sobolev
+multipliers of ``spaces`` are ``MatMul`` nodes against constant matrices.
 """
 
 from __future__ import annotations
@@ -426,75 +427,6 @@ class PadCols(Node):
         return slice_cols(g, self.before, self.before + self.parents[0].shape[1])
 
 
-def fft_lengths(spatial_shape) -> tuple:
-    """The axes of a signal layout that Fourier multipliers transform: the
-    last one of (n,), the last two of (h, w) or (c, h, w)."""
-    return tuple(spatial_shape[-1:] if len(spatial_shape) == 1 else spatial_shape[-2:])
-
-
-def half_spectrum(multiplier) -> np.ndarray:
-    """The part of an even Fourier multiplier that real FFTs use: the first
-    n // 2 + 1 entries along its last axis."""
-    m = np.asarray(multiplier, dtype=np.float64)
-    return np.ascontiguousarray(m[..., :m.shape[-1] // 2 + 1])
-
-
-def fourier_multiply(x, spatial_shape, half) -> np.ndarray:
-    """F^-1 [ m(xi) . F x ] for one flattened real signal or rows of them.
-
-    The FFT runs over the trailing one or two axes of ``spatial_shape``.
-    ``half`` is ``half_spectrum(m)`` of a multiplier m that is symmetric
-    under xi -> -xi, which makes the result real, so real FFTs compute it.
-    """
-    import scipy.fft
-    lengths = fft_lengths(spatial_shape)
-    axes = tuple(range(-len(lengths), 0))
-    v = x.reshape(x.shape[:-1] + tuple(spatial_shape))
-    spec = scipy.fft.rfftn(v, axes=axes, norm="ortho")
-    spec *= half
-    out = scipy.fft.irfftn(spec, s=lengths, axes=axes, norm="ortho")
-    return out.reshape(x.shape)
-
-
-class FourierMultiplier(Node):
-    """Linear operator F^-1 [ m(xi) . F x ] with a fixed real multiplier.
-
-    ``spatial_shape`` is the signal layout, one of (n,), (h, w) or
-    (c, h, w); the FFT runs over the trailing one or two axes.  Rows of a
-    2-D operand are treated as a batch of flattened signals.  The
-    multiplier is symmetric under frequency negation, so the operator is
-    real and self-adjoint; the vector-Jacobian product is the operator
-    itself.  A multiplier that is not even to 1e-12 relative is rejected.
-    """
-
-    __slots__ = ("spatial_shape", "multiplier", "_half")
-
-    def __init__(self, a, spatial_shape, multiplier):
-        spatial_shape = tuple(int(d) for d in spatial_shape)
-        size = int(np.prod(spatial_shape))
-        if len(a.shape) not in (1, 2) or a.shape[-1] != size:
-            raise ShapeError(
-                f"fourier_multiplier: operand {a.shape} does not hold "
-                f"flattened signals of shape {spatial_shape}")
-        super().__init__(a.shape, (a,))
-        self.spatial_shape = spatial_shape
-        self.multiplier = np.asarray(multiplier, dtype=np.float64)
-        if self.multiplier.shape != fft_lengths(spatial_shape):
-            raise ShapeError("fourier_multiplier: multiplier/signal shape mismatch")
-        m = self.multiplier
-        reflected = np.roll(np.flip(m), 1, axis=tuple(range(m.ndim)))
-        if np.max(np.abs(m - reflected)) > 1e-12 * np.max(np.abs(m)):
-            raise GraphError("fourier_multiplier: multiplier is not even "
-                             "under xi -> -xi")
-        self._half = half_spectrum(self.multiplier)
-
-    def compute(self, a):
-        return fourier_multiply(a, self.spatial_shape, self._half)
-
-    def vjp(self, g, index):
-        return FourierMultiplier(g, self.spatial_shape, self.multiplier)
-
-
 # ---------------------------------------------------------------------------
 # Functional API
 # ---------------------------------------------------------------------------
@@ -575,10 +507,6 @@ def slice_cols(a, start, stop):
 
 def pad_cols(a, before, after):
     return PadCols(wrap(a), before, after)
-
-
-def fourier_multiplier(a, spatial_shape, multiplier):
-    return FourierMultiplier(wrap(a), spatial_shape, multiplier)
 
 
 def mean_all(a):

@@ -1,12 +1,15 @@
 """Norm algebra for discretized Banach spaces and their duals.
 
-Four families are supported: L^p, Sobolev W^{s,p} realized through an FFT
-multiplier (1 + |xi|^2)^(s/2), diagonally weighted spaces, and finite
-products.  Every family comes with its analytic dual norm under the plain
-coordinate pairing <g, x> = sum_i g_i x_i, plus the explicit maximizer of
-the duality quotient, which serves as an independent check of the dual
-norm formulas.  Only Sobolev norms (``scipy.fft``) and pairwise L^2
-distances (``scipy.spatial``) load a scipy module, on first use.
+Four families are supported: L^p, Sobolev W^{s,p} realized through the
+Fourier multiplier (1 + |xi|^2)^(s/2), diagonally weighted spaces, and
+finite products.  Every family comes with its analytic dual norm under the
+plain coordinate pairing <g, x> = sum_i g_i x_i, plus the explicit
+maximizer of the duality quotient, which serves as an independent check of
+the dual norm formulas.  A Sobolev multiplier is applied as one matmul
+against its cached real symmetric n x n matrix (``sobolev_operator``), so
+the transformed axes of a Sobolev space may hold at most
+``MAX_OPERATOR_SIZE`` entries.  Only pairwise L^2 distances
+(``scipy.spatial``) load a scipy module, on first use.
 
 Two discretization measures are available.  ``counting`` treats every
 entry with weight 1; ``normalized`` averages (weight 1/N).  The primal
@@ -27,6 +30,9 @@ from . import autodiff as ad
 
 FAMILIES = ("lp", "sobolev", "weighted", "product")
 MEASURES = ("counting", "normalized")
+# entries of a Sobolev space's transformed axes; its operator holds the
+# square of this many floats, 8 MB
+MAX_OPERATOR_SIZE = 1024
 
 
 class SpaceError(ValueError):
@@ -77,10 +83,22 @@ class SpaceSpec:
                 raise SpaceError(f"frequency_scale must be positive and finite, "
                                  f"got {self.frequency_scale}")
             self.signal_shape = tuple(int(d) for d in shape)
-            for n in ad.fft_lengths(self.signal_shape):
+            lengths = fft_lengths(self.signal_shape)
+            for n in lengths:
                 if n & (n - 1) or n == 0:
                     raise SpaceError(
                         f"sobolev FFT axes must be powers of two, got {self.signal_shape}")
+            if int(np.prod(lengths)) > MAX_OPERATOR_SIZE:
+                raise SpaceError(
+                    f"sobolev transformed axes {lengths} hold more than "
+                    f"{MAX_OPERATOR_SIZE} entries")
+            with np.errstate(over="ignore", invalid="ignore"):
+                peak = np.max(sobolev_weights(self.signal_shape, abs(float(self.s)),
+                                              float(self.frequency_scale)))
+            if not np.isfinite(peak):
+                raise SpaceError(
+                    f"sobolev multiplier (1 + |xi|^2)^(|s|/2) overflows at "
+                    f"s={self.s}, frequency_scale={self.frequency_scale}")
         if self.family == "weighted":
             if self.base is None or self.weight is None:
                 raise SpaceError("weighted space needs base and weight")
@@ -149,6 +167,12 @@ def _lp_norm_rows(X, p):
 # Sobolev multiplier
 # ---------------------------------------------------------------------------
 
+def fft_lengths(spatial_shape) -> tuple:
+    """The axes of a signal layout that Sobolev multipliers transform: the
+    last one of (n,), the last two of (h, w) or (c, h, w)."""
+    return tuple(spatial_shape[-1:] if len(spatial_shape) == 1 else spatial_shape[-2:])
+
+
 @lru_cache(maxsize=64)
 def sobolev_weights(spatial_shape: tuple, s: float, frequency_scale: float):
     """Multiplier (1 + |xi|^2)^(s/2) on the FFT grid of the trailing axes.
@@ -157,13 +181,38 @@ def sobolev_weights(spatial_shape: tuple, s: float, frequency_scale: float):
     mapped to xi = frequency_scale * k / (N/2), so |xi| <= frequency_scale
     per axis.
     """
-    lengths = ad.fft_lengths(spatial_shape)
+    lengths = fft_lengths(spatial_shape)
     grids = [2.0 * frequency_scale * np.fft.fftfreq(n) for n in lengths]
     if len(lengths) == 1:
         xi_sq = grids[0] ** 2
     else:
         xi_sq = grids[0][:, None] ** 2 + grids[1][None, :] ** 2
     return (1.0 + xi_sq) ** (s / 2.0)
+
+
+@lru_cache(maxsize=8)   # at most 64 MB of operators at the size cap
+def sobolev_operator(spatial_shape: tuple, s: float, frequency_scale: float):
+    """The real symmetric n x n matrix K of F^-1 [(1 + |xi|^2)^(s/2) F .]
+    over the transformed axes, which hold n entries; rows x of flattened
+    signals in that layout map to x @ K.
+
+    The multiplier is even under xi -> -xi, so its kernel k = F^-1 m is
+    real and even, and K[i, j] = k[(i - j) mod N] along each axis: a
+    circulant matrix, block circulant over two axes.  Averaging k with its
+    reflection removes rounding asymmetry, so K equals K.T exactly.
+    Read-only.
+    """
+    lengths = fft_lengths(spatial_shape)
+    kernel = np.fft.ifftn(sobolev_weights(spatial_shape, s, frequency_scale)).real
+    kernel = 0.5 * (kernel + kernel[np.ix_(*[-np.arange(n) % n for n in lengths])])
+    offsets = [np.subtract.outer(np.arange(n), np.arange(n)) % n for n in lengths]
+    if len(lengths) == 1:
+        K = kernel[offsets[0]]
+    else:
+        K = kernel[offsets[0][:, None, :, None], offsets[1][None, :, None, :]]
+    K = K.reshape(kernel.size, kernel.size)
+    K.flags.writeable = False
+    return K
 
 
 # ---------------------------------------------------------------------------
@@ -217,9 +266,8 @@ class _Rows:
         return self.apply(x, lambda a: a[:, cols])
 
     def fourier(self, x, space, s):
-        mult = sobolev_weights(space.signal_shape, float(s), float(space.frequency_scale))
-        half = ad.half_spectrum(mult)
-        return self.apply(x, lambda a: ad.fourier_multiply(a, space.signal_shape, half))
+        K = sobolev_operator(space.signal_shape, float(s), float(space.frequency_scale))
+        return self.apply(x, lambda a: (a.reshape(-1, len(K)) @ K).reshape(a.shape))
 
     def lp(self, x, p):
         return _lp_norm_rows(x, p)
@@ -280,8 +328,12 @@ class _Graph:
         return ad.slice_cols(x, cols.start, cols.stop)
 
     def fourier(self, x, space, s):
-        mult = sobolev_weights(space.signal_shape, float(s), float(space.frequency_scale))
-        return ad.fourier_multiplier(x, space.signal_shape, mult)
+        K = sobolev_operator(space.signal_shape, float(s), float(space.frequency_scale))
+        if x.shape[1] == len(K):
+            return ad.matmul(x, ad.Constant(K))
+        # (c, h, w) layout: each row holds c signals of the transformed axes
+        rows = ad.reshape(x, (x.shape[0] * x.shape[1] // len(K), len(K)))
+        return ad.reshape(ad.matmul(rows, ad.Constant(K)), x.shape)
 
     def lp(self, x, p):
         _check_graph_exponent(p)

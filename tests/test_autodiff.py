@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bwgan import autodiff as ad
+from bwgan import spaces
 from bwgan.nets import MLP
 
 
@@ -167,7 +168,7 @@ OP_CASES = [
     ("sum_rows", lambda x: ad.sum_all(ad.abs_pow(ad.sum_rows(x), 2.0)), (3, 4), None),
     ("sum_cols", lambda x: ad.sum_all(ad.abs_pow(ad.sum_cols(x), 2.0)), (3, 4), None),
     ("slice_pad", lambda x: ad.sum_all(ad.mul(ad.slice_cols(x, 1, 3), ad.slice_cols(x, 1, 3))), (2, 4), None),
-    ("fourier", lambda x: ad.sum_all(ad.mul(y := ad.fourier_multiplier(x, (2, 4), even_multiplier(np.random.default_rng(0), (2, 4))), y)), (3, 8), None),
+    ("fourier", lambda x: ad.sum_all(ad.abs_pow(spaces.norm_rows(spaces.sobolev_space(1.5, 2.0, (2, 2, 2)), x), 2.0)), (3, 8), None),
 ]
 
 
@@ -246,48 +247,71 @@ def test_unsupported_broadcast_rejected():
         ad.add(a, b)
 
 
-def even_multiplier(rng, spatial_shape):
-    """A random multiplier m with m(xi) = m(-xi) on the FFT grid of the
-    trailing one or two axes."""
+def fft_reference(x, spatial_shape, s, frequency_scale):
+    """F^-1 [(1 + |xi|^2)^(s/2) F x] by complex FFTs over the trailing one
+    or two axes of signals in the layout ``spatial_shape``."""
     lengths = spatial_shape[-1:] if len(spatial_shape) == 1 else spatial_shape[-2:]
-    r = rng.uniform(0.5, 2.0, size=lengths)
-    flip = np.ix_(*[(-np.arange(n)) % n for n in lengths])
-    return r + r[flip]
+    xi = np.meshgrid(*[frequency_scale * np.fft.fftfreq(n) * 2.0 for n in lengths],
+                     indexing="ij")
+    mult = (1.0 + sum(k ** 2 for k in xi)) ** (s / 2.0)
+    axes = tuple(range(-len(lengths), 0))
+    return np.fft.ifftn(mult * np.fft.fftn(x, axes=axes), axes=axes).real
 
 
-@pytest.mark.parametrize("spatial_shape", [(8,), (16, 16), (2, 8, 8), (6,)])
+FOURIER_SHAPES = [(8,), (16, 16), (2, 8, 8), (4, 16)]
+
+
+def apply_operator(x, spatial_shape, s, frequency_scale):
+    """Signals in the flattened layout times the Sobolev operator."""
+    K = spaces.sobolev_operator(spatial_shape, s, frequency_scale)
+    return (x.reshape(-1, len(K)) @ K).reshape(x.shape)
+
+
+@pytest.mark.parametrize("spatial_shape", FOURIER_SHAPES)
 @pytest.mark.parametrize("batch", [(), (3,)], ids=["single", "batched"])
 def test_fourier_multiplier_matches_complex_fft(spatial_shape, batch):
     rng = np.random.default_rng(len(spatial_shape) * 100 + spatial_shape[-1])
-    mult = even_multiplier(rng, spatial_shape)
-    size = int(np.prod(spatial_shape))
-    x0 = rng.standard_normal(batch + (size,))
-    x = ad.Input(x0.shape, name="x")
-    got = ad.evaluate(ad.fourier_multiplier(x, spatial_shape, mult), {x: x0})
-    axes = tuple(range(-mult.ndim, 0))
-    v = x0.reshape(batch + spatial_shape)
-    want = np.fft.ifftn(mult * np.fft.fftn(v, axes=axes), axes=axes).real
-    assert got.shape == x0.shape
-    np.testing.assert_allclose(got, want.reshape(x0.shape), rtol=0, atol=1e-12)
+    x0 = rng.standard_normal(batch + (int(np.prod(spatial_shape)),))
+    for s, frequency_scale in [(1.5, 5.0), (-1.0, 5.0), (2.0, 1.3)]:
+        got = apply_operator(x0, spatial_shape, s, frequency_scale)
+        want = fft_reference(x0.reshape(batch + spatial_shape), spatial_shape, s,
+                             frequency_scale)
+        np.testing.assert_allclose(got, want.reshape(x0.shape), rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("spatial_shape", [(8,), (16, 16), (2, 8, 8), (6,)])
+@pytest.mark.parametrize("spatial_shape", FOURIER_SHAPES)
 def test_fourier_multiplier_is_self_adjoint(spatial_shape):
+    K = spaces.sobolev_operator(spatial_shape, 1.5, 5.0)
+    n = int(np.prod(spaces.fft_lengths(spatial_shape)))
+    assert K.shape == (n, n)
+    assert np.array_equal(K, K.T)
     rng = np.random.default_rng(spatial_shape[-1])
-    mult = even_multiplier(rng, spatial_shape)
-    size = int(np.prod(spatial_shape))
-    x0, y0 = rng.standard_normal((2, size))
-    x = ad.Input((size,), name="x")
-    op = ad.fourier_multiplier(x, spatial_shape, mult)
-    mx = ad.evaluate(op, {x: x0})
-    my = ad.evaluate(op, {x: y0})
+    x0, y0 = rng.standard_normal((2, int(np.prod(spatial_shape))))
+    mx = apply_operator(x0, spatial_shape, 1.5, 5.0)
+    my = apply_operator(y0, spatial_shape, 1.5, 5.0)
     assert np.dot(mx, y0) == pytest.approx(np.dot(x0, my), rel=0, abs=1e-12)
 
 
-def test_fourier_multiplier_rejects_uneven_multiplier():
-    x = ad.Input((3, 8), name="x")
-    with pytest.raises(ad.GraphError, match="even"):
-        ad.fourier_multiplier(x, (2, 4), 1.0 + np.arange(8.0).reshape(2, 4))
+def test_sobolev_operator_is_cached_and_read_only():
+    K = spaces.sobolev_operator((8, 8), 1.0, 5.0)
+    assert spaces.sobolev_operator((8, 8), 1.0, 5.0) is K
+    with pytest.raises(ValueError):
+        K[0, 0] = 0.0
+
+
+def test_sobolev_dual_norm_second_derivative_matches_finite_differences():
+    # the (c, h, w) layout reshapes each row into c signals around the matmul
+    space = spaces.sobolev_space(1.0, 2.0, (2, 2, 4))
+    x0 = np.random.default_rng(19).standard_normal((3, 16))
+    x = ad.Input((3, 16), name="x")
+    gx = ad.grad(ad.sum_all(ad.tanh(spaces.dual_norm_rows(space, x))), x)
+    grad_sq = ad.sum_all(ad.mul(gx, gx))
+    got = ad.evaluate(ad.grad(grad_sq, x), {x: x0})
+
+    def value(v):
+        return float(ad.evaluate(grad_sq, {x: v}))
+
+    np.testing.assert_allclose(got, central_diff(value, x0.copy()), rtol=1e-6, atol=1e-9)
 
 
 def test_step_gradient_is_zeros():

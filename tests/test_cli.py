@@ -75,6 +75,21 @@ def test_norm_command_bad_shape(tmp_path, capsys):
     assert "power" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags,size,reason", [
+    (["--s", "1e308"], 64, "overflows"),
+    (["--s", "1", "--frequency-scale", "1e200"], 64, "overflows"),
+    (["--s", "400", "--shape", "8x8"], 64, "overflows"),
+    (["--shape", "64x64"], 4096, "1024"),
+], ids=["huge-s", "huge-frequency-scale", "s-400", "above-operator-cap"])
+def test_norm_command_unusable_sobolev_space_exits_2(tmp_path, capsys, flags, size,
+                                                     reason):
+    path = write_signal(tmp_path, np.ones(size))
+    assert cli.main(["norm", path, "--space", "sobolev"] + flags) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert reason in err
+
+
 def test_norm_command_missing_file(tmp_path, capsys):
     assert cli.main(["norm", str(tmp_path / "nope.txt")]) == cli.EXIT_USAGE
 

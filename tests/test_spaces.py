@@ -56,6 +56,23 @@ def test_sobolev_rejects_non_power_of_two():
         spaces.sobolev_space(1.0, 2.0, (12, 12))
 
 
+def test_sobolev_rejects_operators_above_the_cap():
+    with pytest.raises(spaces.SpaceError, match="1024"):
+        spaces.sobolev_space(1, 2, (64, 64))
+
+
+@pytest.mark.parametrize("shape", [(32, 32), (2, 8, 8), (1024,)])
+def test_sobolev_accepts_operators_up_to_the_cap(shape):
+    assert spaces.sobolev_space(1, 2, shape).signal_shape == shape
+
+
+@pytest.mark.parametrize("s,frequency_scale", [(1e308, 5.0), (1.0, 1e200), (400.0, 5.0),
+                                               (-400.0, 5.0)])
+def test_sobolev_rejects_overflowing_multiplier(s, frequency_scale):
+    with pytest.raises(spaces.SpaceError, match="overflows"):
+        spaces.sobolev_space(s, 2.0, (8, 8), frequency_scale)
+
+
 def test_weighted_rejects_zero_weight():
     with pytest.raises(spaces.SpaceError):
         spaces.weighted_space(spaces.lp_space(2.0), np.array([1.0, 0.0, 2.0]))
@@ -223,24 +240,42 @@ def test_sobolev_zero_order_equals_lp():
             assert spaces.norm(w0, x) == pytest.approx(spaces.norm(lp, x), rel=1e-10)
 
 
-def sobolev_multiply(x, s):
-    """F^-1 [(1 + |xi|^2)^(s/2) F x] of one signal in its natural layout."""
-    half = ad.half_spectrum(spaces.sobolev_weights(x.shape, float(s), 5.0))
-    return ad.fourier_multiply(x.ravel(), x.shape, half).reshape(x.shape)
+def sobolev_multiply(x, s, frequency_scale=5.0):
+    """F^-1 [(1 + |xi|^2)^(s/2) F x] of one signal in its natural layout,
+    by complex FFTs over its last axis, or its last two."""
+    axes = (-1,) if x.ndim == 1 else (-2, -1)
+    xi = np.meshgrid(*[2.0 * frequency_scale * np.fft.fftfreq(x.shape[a]) for a in axes],
+                     indexing="ij")
+    mult = (1.0 + sum(k ** 2 for k in xi)) ** (s / 2.0)
+    return np.fft.ifftn(mult * np.fft.fftn(x, axes=axes), axes=axes).real
+
+
+@pytest.mark.parametrize("shape", [(16,), (8, 8), (2, 8, 8), (4, 16)])
+@pytest.mark.parametrize("s", [1.0, -0.5])
+def test_sobolev_norms_match_fft_reference(shape, s):
+    rng = np.random.default_rng(len(shape) + shape[-1])
+    X = rng.standard_normal((5,) + shape)
+    flat = X.reshape(5, -1)
+    space = spaces.sobolev_space(s, 2.0, shape)
+    want = [np.linalg.norm(sobolev_multiply(x, s)) for x in X]
+    np.testing.assert_allclose(spaces.norm_batch(space, flat), want, rtol=1e-12)
+    want = [np.linalg.norm(sobolev_multiply(x, -s)) for x in X]
+    np.testing.assert_allclose(spaces.dual_norm_batch(space, flat), want, rtol=1e-12)
 
 
 def test_sobolev_multiplier_inverts():
     rng = np.random.default_rng(17)
-    x = rng.standard_normal((16, 16))
-    y = sobolev_multiply(x, 1.5)
-    back = sobolev_multiply(y, -1.5)
+    x = rng.standard_normal(256)
+    y = x @ spaces.sobolev_operator((16, 16), 1.5, 5.0)
+    back = y @ spaces.sobolev_operator((16, 16), -1.5, 5.0)
     np.testing.assert_allclose(back, x, atol=1e-12)
 
 
 def test_sobolev_multiplier_constant_signal_fixed():
     # (1 + |xi|^2)^(s/2) is 1 at xi = 0, so constants are untouched.
-    x = np.full((8, 8), 3.25)
-    np.testing.assert_allclose(sobolev_multiply(x, 2.0), x, atol=1e-12)
+    x = np.full(64, 3.25)
+    np.testing.assert_allclose(x @ spaces.sobolev_operator((8, 8), 2.0, 5.0), x,
+                               atol=1e-12)
 
 
 def test_sobolev_positive_order_penalizes_oscillation():
@@ -254,11 +289,18 @@ def test_sobolev_positive_order_penalizes_oscillation():
 
 
 def test_sobolev_channel_layout():
+    # a (c, h, w) signal is c signals of (h, w), normed together
     rng = np.random.default_rng(18)
-    x = rng.standard_normal((3, 8, 8))
-    per_channel = [sobolev_multiply(x[c], 1.0) for c in range(3)]
-    np.testing.assert_allclose(sobolev_multiply(x, 1.0),
-                               np.stack(per_channel), atol=1e-12)
+    X = rng.standard_normal((4, 3, 8, 8))
+    w12 = spaces.sobolev_space(1.0, 2.0, (8, 8))
+    per_channel = [spaces.norm_batch(w12, X[:, c].reshape(4, 64)) for c in range(3)]
+    want = np.sqrt(np.sum(np.square(per_channel), axis=0))
+    space = spaces.sobolev_space(1.0, 2.0, (3, 8, 8))
+    flat = X.reshape(4, -1)
+    np.testing.assert_allclose(spaces.norm_batch(space, flat), want, rtol=1e-12)
+    x = ad.Input(flat.shape)
+    np.testing.assert_allclose(ad.evaluate(spaces.norm_rows(space, x), {x: flat}), want,
+                               rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
