@@ -4,9 +4,10 @@ Graphs are built from immutable nodes over dense float64 tensors.  The key
 design choice is that ``grad`` returns new graph *nodes*, not detached
 numbers, so a gradient expression can itself be differentiated again
 (double backpropagation).  A ``Program`` compiles a graph with fixed roots
-once into a topologically ordered schedule; each call evaluates every
-shared subexpression once, keeps results bit-identical across runs and
-releases each intermediate value after its last use.
+once into a topologically ordered schedule and, on its first call, into
+generated straight-line Python code; each call evaluates every shared
+subexpression once, keeps results bit-identical across runs and releases
+each intermediate value after its last use.
 
 Supported broadcasting is deliberately narrow: equal shapes, scalar with
 anything, and a (n,) row vector against an (m, n) matrix (bias addition).
@@ -184,6 +185,10 @@ class MatMul(Node):
         super().__init__((a.shape[0], b.shape[1]), (a, b))
 
     def compute(self, a, b):
+        if a.shape[1] == 1:
+            # an outer product: one product per entry either way, and the
+            # broadcast multiply skips the BLAS call
+            return a * b
         return a @ b
 
     def vjp(self, g, index):
@@ -382,9 +387,9 @@ class Broadcast(Node):
         self.axis = axis
 
     def compute(self, a):
-        if self.axis is not None:
-            a = np.expand_dims(a, self.axis)
-        return np.broadcast_to(a, self.shape).copy()
+        out = np.empty(self.shape)
+        out[...] = a if self.axis is None else np.expand_dims(a, self.axis)
+        return out
 
     def vjp(self, g, index):
         return Sum(g, self.axis)
@@ -555,12 +560,17 @@ class Program:
 
     Building it sorts the graph and numbers its nodes as slots.  Each step
     records its parents' slots and the slots whose last consumer it is.
-    Calling it with ``env: {Input: array}`` runs the same ``compute`` calls
-    in the same order as a fresh walk would, so results are bit-identical.
-    It drops each intermediate value as soon as its last consumer has run,
-    which bounds the memory live at once by the graph's width, not its
-    size (the memory-sharing pass of Chen et al., arXiv:1604.06174, §3,
-    without buffer reuse).  Roots are never dropped.
+    On its first call it generates and ``exec``s one straight-line Python
+    function from that schedule, a line ``v12 = nodes[12].compute(v3, v7)``
+    per step (the code generation of torch.fx, Reed et al.,
+    arXiv:2112.08429).  Calling it with ``env: {Input: array}`` runs the
+    same ``compute`` calls in the same order as a fresh walk would, so
+    results are bit-identical.  ``compute`` is looked up on the node at
+    each call, so a method rebound on a node class takes effect.  The
+    line after a value's last consumer sets it to None, which bounds the
+    memory live at once by the graph's width, not its size (the
+    memory-sharing pass of Chen et al., arXiv:1604.06174, §3, without
+    buffer reuse).  Roots are never dropped.
     """
 
     def __init__(self, nodes):
@@ -580,9 +590,33 @@ class Program:
                 dead[i].append(j)
         self.inputs = [(i, node) for i, node in enumerate(self.order)
                        if isinstance(node, Input)]
-        self.steps = [(i, node, tuple(slot[p] for p in node.parents), tuple(dead[i]))
+        self.steps = [(i, tuple(slot[p] for p in node.parents), tuple(dead[i]))
                       for i, node in enumerate(self.order)
                       if not isinstance(node, Input)]
+        self._run = self._run_keeping_all = None
+
+    def _generate(self, release: bool):
+        """The schedule as a function of ``nodes`` and the Input values.
+        With ``release`` it drops dead values and returns the roots'
+        values; without, it returns every node's value in slot order."""
+        args = "".join(f", v{i}" for i, _ in self.inputs)
+        lines = [f"def program(nodes{args}):"]
+        for i, parents, dead in self.steps:
+            lines.append(f"    v{i} = nodes[{i}].compute("
+                         + ", ".join(f"v{p}" for p in parents) + ")")
+            if release and dead:
+                lines.append("    " + " = ".join(f"v{d}" for d in dead) + " = None")
+        if not release:
+            result = "[" + ", ".join(f"v{i}" for i in range(len(self.order))) + "]"
+        elif self.single:
+            result = f"v{self.roots[0]}"
+        else:
+            result = "[" + ", ".join(f"v{i}" for i in self.roots) + "]"
+        lines.append(f"    return {result}")
+        namespace = {}
+        exec(compile("\n".join(lines), f"<Program of {len(self.order)} nodes>",
+                     "exec"), namespace)
+        return namespace["program"]
 
     def __call__(self, env, cache=None):
         """The roots' values: one array, or a list in root order.
@@ -590,17 +624,15 @@ class Program:
         With a ``cache`` dict, nothing is released and every node's value
         is written into it.
         """
-        values = [None] * len(self.order)
-        for i, node in self.inputs:
-            values[i] = _bind(node, env)
-        release = cache is None
-        for i, node, parents, dead in self.steps:
-            values[i] = node.compute(*[values[p] for p in parents])
-            if release:
-                for d in dead:
-                    values[d] = None
-        if cache is not None:
-            cache.update(zip(self.order, values))
+        bound = [_bind(node, env) for _, node in self.inputs]
+        if cache is None:
+            if self._run is None:
+                self._run = self._generate(release=True)
+            return self._run(self.order, *bound)
+        if self._run_keeping_all is None:
+            self._run_keeping_all = self._generate(release=False)
+        values = self._run_keeping_all(self.order, *bound)
+        cache.update(zip(self.order, values))
         if self.single:
             return values[self.roots[0]]
         return [values[i] for i in self.roots]

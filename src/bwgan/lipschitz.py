@@ -11,6 +11,7 @@ dominated by the supremum of the dual gradient norm on that segment.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -47,13 +48,23 @@ def difference_quotient(critic, space: SpaceSpec, x, y) -> float:
     return float(_pair_gaps(critic, x[None], y[None])[0] / denom)
 
 
+@lru_cache(maxsize=16)
+def _segment_weights(samples: int):
+    """Read-only columns t and 1 - t of ``samples`` + 2 equispaced points
+    of [0, 1]."""
+    t = np.linspace(0.0, 1.0, samples + 2)[:, None]
+    one_minus_t = 1.0 - t
+    t.flags.writeable = one_minus_t.flags.writeable = False
+    return t, one_minus_t
+
+
 def segment_grad_sup(critic, space: SpaceSpec, x, y, samples: int = 100) -> float:
     """Max dual gradient norm over equispaced points of [x, y], endpoints
     included."""
     x = np.asarray(x, dtype=np.float64).ravel()
     y = np.asarray(y, dtype=np.float64).ravel()
-    t = np.linspace(0.0, 1.0, samples + 2)[:, None]
-    pts = t * x + (1.0 - t) * y
+    t, one_minus_t = _segment_weights(samples)
+    pts = t * x + one_minus_t * y
     return float(np.max(grad_dual_norm_batch(critic, space, pts)))
 
 

@@ -68,12 +68,14 @@ class MLP:
         return list(self.params)
 
     def set_params(self, values: dict):
+        """Copy ``values`` into the existing parameter arrays, so views of
+        them, such as an ``Adam`` buffer's, stay live."""
         for k, v in values.items():
             if k not in self.params:
                 raise KeyError(f"unknown parameter {k}")
             if self.params[k].shape != np.shape(v):
                 raise ValueError(f"shape mismatch for parameter {k}")
-            self.params[k] = np.asarray(v, dtype=np.float64)
+            np.copyto(self.params[k], v)
 
 
 @cache

@@ -158,9 +158,20 @@ def dual_exponent(p: float) -> float:
 
 
 def _lp_norm_rows(X, p):
+    """Per-row L^p norms.  A finite, nonzero row whose power sum overflows
+    to inf or underflows to 0 is recomputed scaled by its maximum."""
+    absx = np.abs(X)
     if np.isinf(p):
-        return np.max(np.abs(X), axis=1)
-    return np.sum(np.abs(X) ** p, axis=1) ** (1.0 / p)
+        return np.max(absx, axis=1)
+    with np.errstate(over="ignore"):
+        out = np.sum(absx ** p, axis=1) ** (1.0 / p)
+    redo = np.flatnonzero((out == 0.0) | (out == np.inf))
+    if redo.size:
+        top = np.max(absx[redo], axis=1, keepdims=True)
+        ok = np.isfinite(top[:, 0]) & (top[:, 0] > 0.0)
+        redo, top = redo[ok], top[ok]
+        out[redo] = top[:, 0] * np.sum((absx[redo] / top) ** p, axis=1) ** (1.0 / p)
+    return out
 
 
 # ---------------------------------------------------------------------------

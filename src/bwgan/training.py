@@ -13,6 +13,9 @@ minimizes -E D(G(Z)) / gamma, the adversarial counterpart.
 
 Parameter heuristics: lambda ~ E ||X||_B and gamma ~ E ||X||_B* over the
 data distribution, which keep the loss scale norm-independent.
+
+``Adam`` keeps the parameters it optimizes in one flat buffer, updated in
+place, and the networks' parameter arrays become views of it.
 """
 
 from __future__ import annotations
@@ -102,29 +105,62 @@ def interpolate(real_batch, fake_batch, u) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 class Adam:
-    """Adam over a dict of named parameter arrays, updated in place."""
+    """Adam over a dict of named parameter arrays, updated in place.
+
+    Construction copies the parameters into one contiguous float64 buffer
+    and replaces each dict entry with a view of it, so whoever holds the
+    dict, such as an ``MLP``, sees every step.  A step copies the
+    gradients into one flat buffer and runs the textbook per-tensor update
+    as in-place ufuncs over one preallocated scratch buffer and the
+    gradient buffer, once the moments have consumed it, operation for
+    operation in the same order, so its results are bit-identical to that
+    expression and allocate nothing.
+    """
 
     def __init__(self, params: dict, lr: float, beta1: float = 0.0,
                  beta2: float = 0.9, eps: float = 1e-8):
-        self.params = params
         self.lr = lr
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        self.m = {k: np.zeros_like(v) for k, v in params.items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        self.flat = np.empty(sum(np.size(v) for v in params.values()))
+        self._grad = np.empty_like(self.flat)
+        self._grad_views = {}
+        offset = 0
+        for k, v in list(params.items()):
+            end = offset + np.size(v)
+            view = self.flat[offset:end].reshape(np.shape(v))
+            view[...] = v
+            params[k] = view
+            self._grad_views[k] = self._grad[offset:end].reshape(np.shape(v))
+            offset = end
+        self.m = np.zeros_like(self.flat)
+        self.v = np.zeros_like(self.flat)
+        self._scratch = np.empty_like(self.flat)
         self.t = 0
 
     def step(self, grads: dict, lr: float | None = None):
+        """One update; ``grads`` holds a gradient for every parameter."""
         lr = self.lr if lr is None else lr
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         corr1 = 1.0 - b1 ** self.t
         corr2 = 1.0 - b2 ** self.t
-        for k, g in grads.items():
-            self.m[k] = b1 * self.m[k] + (1.0 - b1) * g
-            self.v[k] = b2 * self.v[k] + (1.0 - b2) * g * g
-            mhat = self.m[k] / corr1
-            vhat = self.v[k] / corr2
-            self.params[k] = self.params[k] - lr * mhat / (np.sqrt(vhat) + self.eps)
+        for k, view in self._grad_views.items():
+            np.copyto(view, grads[k])
+        g, m, v, a = self._grad, self.m, self.v, self._scratch
+        np.multiply(m, b1, out=m)            # m = b1 m + (1 - b1) g
+        np.multiply(g, 1.0 - b1, out=a)
+        np.add(m, a, out=m)
+        np.multiply(v, b2, out=v)            # v = b2 v + (1 - b2) g g
+        np.multiply(g, 1.0 - b2, out=a)
+        np.multiply(a, g, out=a)
+        np.add(v, a, out=v)
+        np.divide(m, corr1, out=a)           # lr m / corr1
+        np.multiply(a, lr, out=a)
+        np.divide(v, corr2, out=g)           # sqrt(v / corr2) + eps
+        np.sqrt(g, out=g)
+        np.add(g, self.eps, out=g)
+        np.divide(a, g, out=a)
+        np.subtract(self.flat, a, out=self.flat)
 
 
 # ---------------------------------------------------------------------------

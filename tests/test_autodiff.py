@@ -388,3 +388,23 @@ def test_evaluate_fills_cache_with_every_value():
     np.testing.assert_array_equal(cache[x], x0)
     np.testing.assert_array_equal(cache[h], np.maximum(x0 @ [[1.0, -1.0], [2.0, 0.5]], 0.0))
     assert cache[out] is got_out and cache[gx] is got_gx
+
+
+def test_compiled_program_sees_compute_rebound_after_first_call(monkeypatch):
+    x = ad.Input((2,), name="x")
+    y = ad.Input((2,), name="y")
+    program = ad.Program(ad.add(x, y))
+    env = {x: np.array([1.0, 2.0]), y: np.array([10.0, 20.0])}
+    np.testing.assert_array_equal(program(env), [11.0, 22.0])
+    monkeypatch.setattr(ad.Add, "compute", lambda self, a, b: a - b)
+    np.testing.assert_array_equal(program(env), [-9.0, -18.0])
+    np.testing.assert_array_equal(ad.evaluate(program.order[-1], env, {}), [-9.0, -18.0])
+
+
+def test_outer_product_matmul_equals_blas_product():
+    rng = np.random.default_rng(3)
+    a, b = rng.standard_normal((64, 1)), rng.standard_normal((1, 128))
+    a[3, 0] = 0.0
+    got = ad.evaluate(ad.matmul(a, b), {})
+    assert got.shape == (64, 128)
+    np.testing.assert_array_equal(got, a @ b)

@@ -1,5 +1,6 @@
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -98,6 +99,18 @@ def test_norm_command_malformed_signal(tmp_path, capsys):
     path = tmp_path / "bad.txt"
     path.write_text("1.0 two 3.0\n")
     assert cli.main(["norm", str(path)]) == cli.EXIT_USAGE
+
+
+def test_norm_command_of_a_huge_signal_is_finite(tmp_path, capsys):
+    path = write_signal(tmp_path, [1e200, 1e200])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["norm", path]) == cli.EXIT_OK
+    captured = capsys.readouterr()
+    norm, dual = (float(f.split("=")[1]) for f in captured.out.split())
+    assert norm == pytest.approx(np.sqrt(2.0) * 1e200, rel=1e-14)
+    assert dual == pytest.approx(np.sqrt(2.0) * 1e200, rel=1e-14)
+    assert captured.err == ""
 
 
 def test_norm_command_nan_signal_exits_2(tmp_path, capsys):

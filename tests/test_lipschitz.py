@@ -204,3 +204,16 @@ def test_difference_quotient_makes_one_critic_call():
                 lambda X, name=name, method=method: calls.append(name) or method(X))
     lipschitz.difference_quotient(critic, L2, np.ones(3), np.zeros(3))
     assert calls == ["value_batch"]
+
+
+def test_segment_weights_are_cached_read_only_and_bit_equal():
+    t, one_minus_t = lipschitz._segment_weights(6)
+    assert lipschitz._segment_weights(6)[0] is t
+    assert not t.flags.writeable and not one_minus_t.flags.writeable
+    rng = np.random.default_rng(8)
+    critic = Critic(5, (7,), "tanh", rng=rng)
+    x, y = rng.standard_normal(5), rng.standard_normal(5)
+    ref_t = np.linspace(0.0, 1.0, 8)[:, None]
+    pts = ref_t * x + (1.0 - ref_t) * y
+    want = np.max(lipschitz.grad_dual_norm_batch(critic, spaces.lp_space(3.0), pts))
+    assert lipschitz.segment_grad_sup(critic, spaces.lp_space(3.0), x, y, 6) == want

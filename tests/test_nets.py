@@ -121,3 +121,20 @@ def test_rebinding_after_set_params_uses_new_values():
     assert np.array_equal(gradient, want_gradient)
     assert not np.array_equal(value, old[0])
     assert not np.array_equal(gradient, old[1])
+
+
+def test_adam_keeps_updating_the_network_after_set_params():
+    from bwgan.training import Adam
+    X = np.random.default_rng(5).standard_normal((4, 3))
+    critic = Critic(3, (6,), "tanh", rng=np.random.default_rng(50))
+    opt = Adam(critic.mlp.params, lr=0.5)
+    donor = Critic(3, (6,), "tanh", rng=np.random.default_rng(51))
+    critic.mlp.set_params({k: v.copy() for k, v in donor.mlp.params.items()})
+    assert np.array_equal(critic.value_batch(X), donor.value_batch(X))
+    opt.step({k: np.ones_like(v) for k, v in critic.mlp.params.items()})
+    # a first step with beta1 = 0 moves each entry by lr g / (|g| + eps)
+    for k, v in donor.mlp.params.items():
+        assert np.shares_memory(critic.mlp.params[k], opt.flat)
+        np.testing.assert_allclose(critic.mlp.params[k], v - 0.5, rtol=0, atol=1e-7)
+    assert np.array_equal(critic.value_batch(X), independent(critic, X)[0])
+    assert not np.array_equal(critic.value_batch(X), donor.value_batch(X))

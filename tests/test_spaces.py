@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -104,6 +106,27 @@ def test_lp_norm_normalized_scaling():
     counting = spaces.norm(spaces.lp_space(p), x)
     averaged = spaces.norm(spaces.lp_space(p, "normalized"), x)
     assert averaged == pytest.approx(counting * x.size ** (-1.0 / p))
+
+
+@pytest.mark.parametrize("p", [1.3, 2.0, 10.0])
+def test_lp_norm_rescales_rows_whose_power_sum_overflows_or_underflows(p):
+    rows = np.array([[1e300, 1e300], [1e-300, 1e-300], [1e300, 0.0],
+                     [3.0, -4.0], [0.0, 0.0], [np.inf, 1.0], [np.nan, 1.0],
+                     [1e-10, 2e-10]])
+    space = spaces.lp_space(p)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        norms = spaces.norm_batch(space, rows)
+        duals = spaces.dual_norm_batch(spaces.dual_space(space), rows)
+    scale = 2.0 ** (1.0 / p)
+    assert norms[0] == pytest.approx(scale * 1e300, rel=1e-14)
+    assert norms[1] == pytest.approx(scale * 1e-300, rel=1e-14)
+    assert norms[2] == 1e300
+    np.testing.assert_allclose(duals, norms, rtol=1e-12)
+    # every other row keeps the plain formula, bit for bit
+    plain = np.sum(np.abs(rows[3:]) ** p, axis=1) ** (1.0 / p)
+    np.testing.assert_array_equal(norms[3:], plain)
+    assert np.isnan(norms[6]) and norms[5] == np.inf and norms[4] == 0.0
 
 
 def test_dual_exponent():

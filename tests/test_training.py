@@ -420,3 +420,41 @@ def test_train_divergence_raises():
         training.train(config)
     assert info.value.iteration < 50
     assert len(info.value.metrics) == info.value.iteration
+
+
+@pytest.mark.parametrize("beta1", [0.0, 0.9])
+def test_adam_equals_per_tensor_expression_bit_for_bit(beta1):
+    rng = np.random.default_rng(11)
+    shapes = {"w": (3, 4), "b": (4,), "s": (), "v": (1, 5)}
+    start = {k: rng.standard_normal(s) for k, s in shapes.items()}
+    params = {k: v.copy() for k, v in start.items()}
+    opt = Adam(params, lr=1e-2, beta1=beta1, beta2=0.9)
+    want = {k: v.copy() for k, v in start.items()}
+    m = {k: np.zeros_like(v) for k, v in start.items()}
+    v = {k: np.zeros_like(x) for k, x in start.items()}
+    b1, b2, eps = beta1, 0.9, 1e-8
+    for t in range(1, 51):
+        grads = {k: rng.standard_normal(s) for k, s in shapes.items()}
+        lr = None if t % 3 == 0 else 1e-2 * (1.0 - t / 50.0)
+        opt.step(grads, lr=lr)
+        step_lr = 1e-2 if lr is None else lr
+        for k, g in grads.items():
+            m[k] = b1 * m[k] + (1.0 - b1) * g
+            v[k] = b2 * v[k] + (1.0 - b2) * g * g
+            mhat = m[k] / (1.0 - b1 ** t)
+            vhat = v[k] / (1.0 - b2 ** t)
+            want[k] = want[k] - step_lr * mhat / (np.sqrt(vhat) + eps)
+        for k in shapes:
+            assert params[k].tobytes() == want[k].tobytes(), (t, k)
+
+
+def test_adam_parameters_are_views_of_one_buffer():
+    params = {"w": np.ones((2, 3)), "b": np.arange(3.0), "c": np.array(7.0)}
+    opt = Adam(params, lr=0.1)
+    offset = 0
+    for k, shape in (("w", (2, 3)), ("b", (3,)), ("c", ())):
+        assert params[k].shape == shape and params[k].base is not None
+        assert np.shares_memory(params[k], opt.flat[offset:offset + params[k].size])
+        offset += params[k].size
+    assert offset == opt.flat.size and opt.flat.flags.c_contiguous
+    np.testing.assert_array_equal(opt.flat, [1, 1, 1, 1, 1, 1, 0, 1, 2, 7])
