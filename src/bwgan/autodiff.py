@@ -570,7 +570,8 @@ class Program:
     line after a value's last consumer sets it to None, which bounds the
     memory live at once by the graph's width, not its size (the
     memory-sharing pass of Chen et al., arXiv:1604.06174, §3, without
-    buffer reuse).  Roots are never dropped.
+    buffer reuse).  Roots are never dropped, so a Program with every node
+    as a root, as ``evaluate`` builds to fill a cache, keeps every value.
     """
 
     def __init__(self, nodes):
@@ -593,22 +594,19 @@ class Program:
         self.steps = [(i, tuple(slot[p] for p in node.parents), tuple(dead[i]))
                       for i, node in enumerate(self.order)
                       if not isinstance(node, Input)]
-        self._run = self._run_keeping_all = None
+        self._run = None
 
-    def _generate(self, release: bool):
-        """The schedule as a function of ``nodes`` and the Input values.
-        With ``release`` it drops dead values and returns the roots'
-        values; without, it returns every node's value in slot order."""
+    def _generate(self):
+        """The schedule as a function of ``nodes`` and the Input values that
+        drops dead values and returns the roots' values."""
         args = "".join(f", v{i}" for i, _ in self.inputs)
         lines = [f"def program(nodes{args}):"]
         for i, parents, dead in self.steps:
             lines.append(f"    v{i} = nodes[{i}].compute("
                          + ", ".join(f"v{p}" for p in parents) + ")")
-            if release and dead:
+            if dead:
                 lines.append("    " + " = ".join(f"v{d}" for d in dead) + " = None")
-        if not release:
-            result = "[" + ", ".join(f"v{i}" for i in range(len(self.order))) + "]"
-        elif self.single:
+        if self.single:
             result = f"v{self.roots[0]}"
         else:
             result = "[" + ", ".join(f"v{i}" for i in self.roots) + "]"
@@ -618,24 +616,11 @@ class Program:
                      "exec"), namespace)
         return namespace["program"]
 
-    def __call__(self, env, cache=None):
-        """The roots' values: one array, or a list in root order.
-
-        With a ``cache`` dict, nothing is released and every node's value
-        is written into it.
-        """
-        bound = [_bind(node, env) for _, node in self.inputs]
-        if cache is None:
-            if self._run is None:
-                self._run = self._generate(release=True)
-            return self._run(self.order, *bound)
-        if self._run_keeping_all is None:
-            self._run_keeping_all = self._generate(release=False)
-        values = self._run_keeping_all(self.order, *bound)
-        cache.update(zip(self.order, values))
-        if self.single:
-            return values[self.roots[0]]
-        return [values[i] for i in self.roots]
+    def __call__(self, env):
+        """The roots' values: one array, or a list in root order."""
+        if self._run is None:
+            self._run = self._generate()
+        return self._run(self.order, *(_bind(node, env) for _, node in self.inputs))
 
 
 def _bind(node: Input, env) -> np.ndarray:
@@ -652,9 +637,14 @@ def evaluate(nodes, env, cache=None):
 
     A one-off ``Program``; code that evaluates the same graph repeatedly
     builds its Program once instead.  A ``cache`` dict, if given, receives
-    the value of every node.
+    the value of every node: the Program then has every node as a root, so
+    it releases nothing.
     """
-    return Program(nodes)(env, cache)
+    if cache is None:
+        return Program(nodes)(env)
+    program = Program(topo_order(nodes))
+    cache.update(zip(program.order, program(env)))
+    return cache[nodes] if isinstance(nodes, Node) else [cache[n] for n in nodes]
 
 
 # ---------------------------------------------------------------------------

@@ -209,12 +209,9 @@ def read_measure(path) -> DiscreteMeasure:
 def cmd_norm(args) -> int:
     x = read_signal(args.input)
     space = space_from_flags(args, (x.size,))
-    value = spaces.norm(space, x)
-    if space.p > 1.0:
-        dual = spaces.dual_norm(space, x)
-        print(f"norm={value:.12f} dual={dual:.12f}")
-    else:
-        print(f"norm={value:.12f} dual=n/a")
+    value = format_value(spaces.norm(space, x))
+    dual = format_value(spaces.dual_norm(space, x)) if space.p > 1.0 else "n/a"
+    print(f"norm={value} dual={dual}")
     return EXIT_OK
 
 

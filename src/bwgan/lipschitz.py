@@ -88,8 +88,8 @@ def estimate_lipschitz(critic, space: SpaceSpec, sampler, n: int,
     max_quot = 0.0
     if np.any(ok):
         max_quot = float(np.max(_pair_gaps(critic, X[ok], Y[ok]) / denom[ok]))
-    t = np.linspace(0.0, 1.0, segment_samples + 2)
-    pts = np.concatenate([ti * X + (1.0 - ti) * Y for ti in t], axis=0)
+    t, one_minus_t = _segment_weights(segment_samples)
+    pts = (t[:, :, None] * X + one_minus_t[:, :, None] * Y).reshape(-1, X.shape[1])
     max_grad = float(np.max(grad_dual_norm_batch(critic, space, pts)))
     return LipschitzReport(max_dual_gradient_norm=max_grad,
                            max_difference_quotient=max_quot,

@@ -1,8 +1,10 @@
 """Small fully connected networks as reusable graph templates.
 
-Parameters live as numpy arrays, bound at each call to Input placeholders,
-so each program is compiled on first use, once per architecture, kind and
-batch size, and shared by every network of that architecture.
+Parameters live as numpy arrays, bound at each call to Input placeholders.
+Every network of one name and architecture shares those Inputs and its
+programs, each compiled on first use, once per kind and input shape.  So
+one graph holds at most one network per name and architecture: a second
+would bind the same Inputs.
 """
 
 from __future__ import annotations
@@ -14,6 +16,19 @@ import numpy as np
 from . import autodiff as ad
 
 ACTIVATIONS = {"relu": ad.relu, "tanh": ad.tanh, "softplus": ad.softplus}
+
+
+@cache
+def _shared(name, architecture):
+    """The parameter Inputs and the programs of every network of one name
+    and architecture.  A program is a few KB, one per kind and input shape
+    used, and is never evicted."""
+    dims = architecture[:-1]
+    nodes = {}
+    for i, (a, b) in enumerate(zip(dims[:-1], dims[1:])):
+        nodes[f"{name}.w{i}"] = ad.Input((a, b), name=f"{name}.w{i}")
+        nodes[f"{name}.b{i}"] = ad.Input((b,), name=f"{name}.b{i}")
+    return nodes, {}
 
 
 class MLP:
@@ -29,34 +44,27 @@ class MLP:
         self.out_dim = int(out_dim)
         self.activation = activation
         self.name = name
-        self.params: dict[str, np.ndarray] = {}
-        self.nodes: dict[str, ad.Input] = {}
         dims = [self.in_dim, *widths, self.out_dim]
         self.architecture = (*dims, activation)
-        n_layers = len(dims) - 1
+        self.nodes, self.programs = _shared(name, self.architecture)
+        self.n_layers = len(dims) - 1
+        self.params: dict[str, np.ndarray] = {}
         for i, (a, b) in enumerate(zip(dims[:-1], dims[1:])):
             scale = np.sqrt(2.0 / a) if activation == "relu" else np.sqrt(1.0 / a)
-            if i == n_layers - 1:
+            if i == self.n_layers - 1:
                 # small output init: the map starts near zero, which keeps
                 # early critic scores tame and early samples near the mean
                 scale *= 0.05
-            self._add_param(f"{name}.w{i}", rng.normal(0.0, scale, size=(a, b)))
-            self._add_param(f"{name}.b{i}", np.zeros(b))
-        self.n_layers = len(dims) - 1
+            self.params[f"{name}.w{i}"] = rng.normal(0.0, scale, size=(a, b))
+            self.params[f"{name}.b{i}"] = np.zeros(b)
 
-    def _add_param(self, key, value):
-        value = np.asarray(value, dtype=np.float64)
-        self.params[key] = value
-        self.nodes[key] = ad.Input(value.shape, name=key)
-
-    def apply(self, x: ad.Node, nodes=None) -> ad.Node:
-        """Build the forward graph for a (batch, in_dim) operand on
-        ``nodes`` (parameter name -> Input), the network's own by default."""
-        nodes = self.nodes if nodes is None else nodes
+    def apply(self, x: ad.Node) -> ad.Node:
+        """Build the forward graph for a (batch, in_dim) operand."""
         act = ACTIVATIONS[self.activation]
         h = x
         for i in range(self.n_layers):
-            h = ad.affine(h, nodes[f"{self.name}.w{i}"], nodes[f"{self.name}.b{i}"])
+            h = ad.affine(h, self.nodes[f"{self.name}.w{i}"],
+                          self.nodes[f"{self.name}.b{i}"])
             if i < self.n_layers - 1:
                 h = act(h)
         return h
@@ -78,25 +86,15 @@ class MLP:
             np.copyto(self.params[k], v)
 
 
-@cache
-def _shared_programs(role, architecture) -> dict:
-    """Programs of every network of one role and architecture; an entry is
-    a few KB, one per kind and batch size used, and is never evicted."""
-    return {}
-
-
-def _call(programs, kind, X, in_dim, build, params):
-    """Evaluate the program of ``kind`` at X's batch size, compiling
-    ``build(x, nodes)`` on a miss, where ``nodes`` are fresh Inputs for the
-    arrays in ``params``.  The arrays are bound by position, never by name,
-    so networks of one architecture share a program but no Input nodes."""
-    key = (kind, X.shape[0])
+def _call(programs, kind, X, build, env):
+    """Evaluate the program of ``kind`` at X's shape, compiling ``build(x)``
+    on a miss, with X bound to its ``x`` Input and the parameters bound by
+    ``env``."""
+    key = (kind, X.shape)
     if key not in programs:
-        x = ad.Input((X.shape[0], in_dim), name="x")
-        nodes = {k: ad.Input(v.shape, name=k) for k, v in params.items()}
-        programs[key] = (x, list(nodes.values()), ad.Program(build(x, nodes)))
-    x, inputs, program = programs[key]
-    env = dict(zip(inputs, params.values()))
+        x = ad.Input(X.shape, name="x")
+        programs[key] = (x, ad.Program(build(x)))
+    x, program = programs[key]
     env[x] = X
     return program(env)
 
@@ -106,7 +104,7 @@ class GraphCritic:
 
     ``build_scores`` maps a (batch, in_dim) node to a (batch,) node of
     per-sample scores.  The value and input-gradient programs are compiled
-    separately on first use and cached per (kind, batch size) in a cache
+    separately on first use and cached per (kind, input shape) in a cache
     of this critic's own.
     """
 
@@ -115,25 +113,22 @@ class GraphCritic:
         self.build_scores = build_scores
         self._cache = {}
 
-    def _scores(self, x, nodes):
-        return self.build_scores(x)
-
-    def _params(self):
-        """Parameter arrays by name, bound at each call."""
+    def env(self) -> dict:
+        """Parameter values by Input; a plain graph critic has none."""
         return {}
 
     def _run(self, kind, X):
         X = np.asarray(X, dtype=np.float64)
         batch = X.shape[0]
 
-        def build(x, nodes):
-            scores = self._scores(x, nodes)
+        def build(x):
+            scores = self.build_scores(x)
             if scores.shape != (batch,):
                 raise ad.ShapeError(
                     f"critic scores must have shape ({batch},), got {scores.shape}")
             return scores if kind == "value" else ad.grad(ad.sum_all(scores), x)
 
-        return _call(self._cache, kind, X, self.in_dim, build, self._params())
+        return _call(self._cache, kind, X, build, self.env())
 
     def value_batch(self, X) -> np.ndarray:
         return self._run("value", X)
@@ -144,20 +139,20 @@ class GraphCritic:
 
 
 class Critic(GraphCritic):
-    """MLP critic: flattened signal -> real score.  It shares its programs
-    with every Critic of the same ``in_dim``, ``widths`` and ``activation``."""
+    """MLP critic: flattened signal -> real score.  It shares its Inputs and
+    programs with every Critic of the same ``in_dim``, ``widths`` and
+    ``activation``."""
 
     def __init__(self, in_dim, widths=(128, 128, 128), activation="relu", rng=None):
-        self.mlp = MLP(in_dim, widths, 1, activation=activation, rng=rng,
-                       name="critic")
-        super().__init__(in_dim, self._scores)
-        self._cache = _shared_programs("critic", self.mlp.architecture)
+        mlp = self.mlp = MLP(in_dim, widths, 1, activation=activation, rng=rng,
+                             name="critic")
+        # closes over the network, not the critic, which reference
+        # counting alone then frees
+        super().__init__(in_dim, lambda x: ad.reshape(mlp.apply(x), (x.shape[0],)))
+        self._cache = mlp.programs
 
-    def _scores(self, x, nodes=None):
-        return ad.reshape(self.mlp.apply(x, nodes), (x.shape[0],))
-
-    def _params(self):
-        return self.mlp.params
+    def env(self) -> dict:
+        return self.mlp.env()
 
 
 class Generator:
@@ -169,9 +164,8 @@ class Generator:
         self.out_dim = int(out_dim)
         self.mlp = MLP(latent_dim, widths, out_dim, activation=activation,
                        rng=rng, name="gen")
-        self._cache = _shared_programs("generator", self.mlp.architecture)
+        self._cache = self.mlp.programs
 
     def sample(self, Z) -> np.ndarray:
         Z = np.asarray(Z, dtype=np.float64)
-        return _call(self._cache, "sample", Z, self.latent_dim, self.mlp.apply,
-                     self.mlp.params)
+        return _call(self._cache, "sample", Z, self.mlp.apply, self.mlp.env())

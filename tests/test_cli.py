@@ -49,14 +49,14 @@ def test_norm_command_output(tmp_path, capsys):
     path = write_signal(tmp_path, [3.0, -4.0])
     assert cli.main(["norm", path]) == cli.EXIT_OK
     out = capsys.readouterr().out.strip()
-    assert out == f"norm={5.0:.12f} dual={5.0:.12f}"
+    assert out == f"norm={5.0:.12g} dual={5.0:.12g}"
 
 
 def test_norm_command_l1_has_no_dual(tmp_path, capsys):
     path = write_signal(tmp_path, [3.0, -4.0])
     assert cli.main(["norm", path, "--p", "1"]) == cli.EXIT_OK
     out = capsys.readouterr().out.strip()
-    assert out == f"norm={7.0:.12f} dual=n/a"
+    assert out == f"norm={7.0:.12g} dual=n/a"
 
 
 def test_norm_command_sobolev_shape(tmp_path, capsys):
@@ -107,9 +107,11 @@ def test_norm_command_of_a_huge_signal_is_finite(tmp_path, capsys):
         warnings.simplefilter("error")
         assert cli.main(["norm", path]) == cli.EXIT_OK
     captured = capsys.readouterr()
+    # twelve significant digits, not a 200-digit integer
+    assert len(captured.out.strip()) < 50
     norm, dual = (float(f.split("=")[1]) for f in captured.out.split())
-    assert norm == pytest.approx(np.sqrt(2.0) * 1e200, rel=1e-14)
-    assert dual == pytest.approx(np.sqrt(2.0) * 1e200, rel=1e-14)
+    assert norm == pytest.approx(np.sqrt(2.0) * 1e200, rel=1e-11)
+    assert dual == pytest.approx(np.sqrt(2.0) * 1e200, rel=1e-11)
     assert captured.err == ""
 
 

@@ -138,3 +138,33 @@ def test_adam_keeps_updating_the_network_after_set_params():
         np.testing.assert_allclose(critic.mlp.params[k], v - 0.5, rtol=0, atol=1e-7)
     assert np.array_equal(critic.value_batch(X), independent(critic, X)[0])
     assert not np.array_equal(critic.value_batch(X), donor.value_batch(X))
+
+
+def test_dropped_critic_is_freed_by_reference_counting():
+    import gc
+    import weakref
+    X = np.random.default_rng(6).standard_normal((3, 4))
+    gc.disable()
+    try:
+        critic = Critic(4, (5,), "tanh", rng=np.random.default_rng(60))
+        critic.value_batch(X)
+        critic.input_gradient_batch(X)
+        ref = weakref.ref(critic)
+        del critic
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_networks_share_inputs_only_within_one_name_and_architecture():
+    from bwgan.nets import Generator
+    a = Critic(4, (6, 6), "tanh", rng=np.random.default_rng(70))
+    b = Critic(4, (6, 6), "tanh", rng=np.random.default_rng(71))
+    assert a.mlp.nodes is b.mlp.nodes and a._cache is b._cache
+    assert not np.array_equal(a.mlp.params["critic.w0"], b.mlp.params["critic.w0"])
+    generator = Generator(4, 4, (6, 6), "tanh", rng=np.random.default_rng(72))
+    assert not set(generator.mlp.nodes.values()) & set(a.mlp.nodes.values())
+    assert generator._cache is not a._cache
+    for other in (Critic(4, (6, 7), "tanh"), Critic(4, (6, 6), "relu")):
+        assert not set(other.mlp.nodes.values()) & set(a.mlp.nodes.values())
+        assert other._cache is not a._cache
