@@ -292,13 +292,22 @@ class Step(Node):
         return None
 
 
-class AbsPow(Node):
-    """|x|^a elementwise.  For a <= 1 the value is kinked at 0.
+def _abs_pow_array(a, exponent, signed):
+    """|a|^exponent elementwise, times sign(a) if ``signed``; the power 0 is
+    1 everywhere.  Negative exponents only arise from differentiating roots;
+    there the value at 0 is 0, the zero-subgradient convention, so a
+    vanishing gradient row propagates zeros instead of infinities."""
+    mag = np.abs(a)
+    if exponent >= 0.0:
+        out = mag ** exponent
+    else:
+        with np.errstate(divide="ignore"):
+            out = np.where(mag == 0.0, 0.0, mag ** exponent)
+    return np.sign(a) * out if signed else out
 
-    Negative exponents only arise from differentiating roots; there the
-    value at 0 is defined as 0, the zero-subgradient convention, so a
-    vanishing gradient row propagates zeros instead of infinities.
-    """
+
+class AbsPow(Node):
+    """|x|^a elementwise.  For a <= 1 the value is kinked at 0."""
 
     __slots__ = ("exponent",)
 
@@ -307,38 +316,18 @@ class AbsPow(Node):
         self.exponent = float(exponent)
 
     def compute(self, a):
-        if self.exponent == 0.0:
-            return np.ones_like(a)
-        if self.exponent < 0.0:
-            mag = np.abs(a)
-            with np.errstate(divide="ignore"):
-                out = mag ** self.exponent
-            return np.where(mag == 0.0, 0.0, out)
-        return np.abs(a) ** self.exponent
+        return _abs_pow_array(a, self.exponent, signed=False)
 
     def vjp(self, g, index):
         x = self.parents[0]
         return mul(g, mul(self.exponent, signed_abs_pow(x, self.exponent - 1.0)))
 
 
-class SignedAbsPow(Node):
+class SignedAbsPow(AbsPow):
     """sign(x) * |x|^a elementwise; closed under differentiation with AbsPow."""
 
-    __slots__ = ("exponent",)
-
-    def __init__(self, a, exponent):
-        super().__init__(a.shape, (a,))
-        self.exponent = float(exponent)
-
     def compute(self, a):
-        if self.exponent == 0.0:
-            return np.sign(a)
-        if self.exponent < 0.0:
-            mag = np.abs(a)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                out = np.sign(a) * mag ** self.exponent
-            return np.where(mag == 0.0, 0.0, out)
-        return np.sign(a) * np.abs(a) ** self.exponent
+        return _abs_pow_array(a, self.exponent, signed=True)
 
     def vjp(self, g, index):
         x = self.parents[0]

@@ -1,6 +1,5 @@
 """Lipschitz machinery: dual-norm gradient evaluation, difference
-quotients, empirical Lipschitz estimation and the difference-quotient
-penalty.
+quotients and empirical Lipschitz estimation.
 
 The central fact being exercised: a Frechet-differentiable f is
 gamma-Lipschitz exactly when the dual norm of its derivative is bounded by
@@ -95,26 +94,3 @@ def estimate_lipschitz(critic, space: SpaceSpec, sampler, n: int,
                            max_difference_quotient=max_quot,
                            sample_count=n, skipped=skipped, space=space)
 
-
-def diff_quotient_penalty(critic, space: SpaceSpec, X, Y,
-                          return_excluded: bool = False):
-    """Mean one-sided hinge-squared penalty over a batch of pairs.
-
-    Per pair: ((|f(X) - f(Y)| / ||X - Y||_B - 1)_+)^2.  Coincident pairs
-    are excluded from the mean and counted; pass ``return_excluded`` to get
-    the count back.
-    """
-    X = np.asarray(X, dtype=np.float64)
-    Y = np.asarray(Y, dtype=np.float64)
-    denom = norm_batch(space, X - Y)
-    ok = denom > 0.0
-    excluded = int(np.sum(~ok))
-    if not np.any(ok):
-        value = 0.0
-    else:
-        quot = _pair_gaps(critic, X[ok], Y[ok]) / denom[ok]
-        hinge = np.maximum(quot - 1.0, 0.0)
-        value = float(np.mean(hinge ** 2))
-    if return_excluded:
-        return value, excluded
-    return value

@@ -284,14 +284,9 @@ class _Rows:
         return _lp_norm_rows(x, p)
 
     def outer(self, parts, p):
-        """(sum_i parts_i^p)^(1/p) over the factor norms of a product, or
-        their maximum at p = inf."""
-        if np.isinf(p):
-            return np.maximum.reduce(parts)
-        out = np.zeros_like(parts[0])
-        for part in parts:
-            out += part ** p
-        return out ** (1.0 / p)
+        """The L^p norm of a product's factor norms, per row or pair."""
+        stacked = np.stack([part.ravel() for part in parts], axis=1)
+        return _lp_norm_rows(stacked, p).reshape(parts[0].shape)
 
 
 class _Pairs(_Rows):
@@ -311,7 +306,12 @@ class _Pairs(_Rows):
         X, Y = xy
         if p == 2.0:
             from scipy.spatial.distance import cdist
-            return cdist(X, Y)
+            out = cdist(X, Y)
+            if not np.isfinite(out).all():
+                # squares overflowed: divide by a power of two (exact), scale back
+                scale = 2.0 ** (np.frexp(max(np.abs(X).max(), np.abs(Y).max()))[1] - 1)
+                out = scale * cdist(X / scale, Y / scale)
+            return out
         # one row at a time, so no (m, n, size) block is allocated
         out = np.empty((X.shape[0], Y.shape[0]))
         for i, x in enumerate(X):

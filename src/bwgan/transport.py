@@ -172,7 +172,10 @@ def wasserstein_p_exact(mu: DiscreteMeasure, nu: DiscreteMeasure,
     if m > MAX_SUPPORT or n > MAX_SUPPORT:
         raise TransportError(
             f"support sizes ({m}, {n}) exceed the cap of {MAX_SUPPORT}")
-    C = cost_matrix(mu, nu, space, p)
+    with np.errstate(over="ignore"):
+        C = cost_matrix(mu, nu, space, p)
+    if not np.isfinite(C).all():
+        raise TransportError(f"a cost ||x - y||^{p:g} overflows the float range")
     counts = _unit_counts(mu, nu)
     if counts is not None:
         matrix = _assignment_plan(C, *counts)

@@ -1,3 +1,4 @@
+import warnings
 import weakref
 
 import numpy as np
@@ -320,6 +321,24 @@ def test_step_gradient_is_zeros():
     got = ad.evaluate(g, {x: np.linspace(-1.0, 1.0, 12).reshape(3, 4)})
     assert got.shape == (3, 4)
     assert not np.any(got)
+
+
+@pytest.mark.parametrize("exponent", [2.0, 1.7, 0.5, 0.0, -0.5, -2.0])
+def test_power_nodes_match_formulas(exponent):
+    # the power 0 is 1, or sign(x), even at 0, inf and nan; a negative
+    # power is 0 at x = 0
+    x = np.array([[-2.0, -0.5, -0.0, 0.0, 0.3, 4.0, np.inf, np.nan]])
+    mag = np.abs(x)
+    with np.errstate(divide="ignore"):
+        plain = np.where(mag == 0.0, 0.0, mag ** exponent) if exponent < 0 else mag ** exponent
+    if exponent == 0.0:
+        plain = np.ones_like(x)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        unsigned = ad.evaluate(ad.abs_pow(x, exponent), {})
+        signed = ad.evaluate(ad.signed_abs_pow(x, exponent), {})
+    np.testing.assert_array_equal(unsigned, plain)
+    np.testing.assert_array_equal(signed, np.sign(x) * plain)
 
 
 # ---------------------------------------------------------------------------

@@ -243,6 +243,37 @@ def test_wasserstein_non_finite_exponent_exits_2(tmp_path, capsys, wp):
     assert_one_error_line(capsys)
 
 
+def test_wasserstein_of_huge_l2_coordinates_is_finite(tmp_path, capsys):
+    # the squared coordinate gaps of 2^665 ~ 4e200 overflow in cdist
+    k = 665
+    rows_a = [[0.5, 1.0, 0.0], [0.5, 0.0, 1.0]]
+    rows_b = [[0.5, 0.0, 0.0], [0.5, 3.0, 4.0]]
+    scaled = [[[w, x * 2.0 ** k, y * 2.0 ** k] for w, x, y in rows]
+              for rows in (rows_a, rows_b)]
+    a = write_measure(tmp_path, scaled[0], "a.txt")
+    b = write_measure(tmp_path, scaled[1], "b.txt")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["wasserstein", a, b]) == cli.EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    mu, nu = (transport.DiscreteMeasure(np.array(rows)[:, 1:], np.array(rows)[:, 0])
+              for rows in (rows_a, rows_b))
+    unscaled, _ = transport.wasserstein_p_exact(mu, nu, L2)
+    assert float(captured.out.strip().split("=")[1]) == pytest.approx(
+        2.0 ** k * unscaled, rel=1e-12, abs=0.0)
+
+
+def test_wasserstein_cost_overflow_exits_2(tmp_path, capsys):
+    # ||x - y||_3 ~ 1e160 is finite, its square for --wp 2 is not
+    a = write_measure(tmp_path, [[0.5, 1e160, 0.0], [0.5, 0.0, 1e160]], "a.txt")
+    b = write_measure(tmp_path, [[0.5, 0.0, 0.0], [0.5, 1e160, 1e160]], "b.txt")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["wasserstein", a, b, "--p", "3", "--wp", "2"]) == cli.EXIT_USAGE
+    assert_one_error_line(capsys)
+
+
 def test_check_dual_critic_of_other_dimension_exits_2(tmp_path, capsys):
     ckpt = save_critic(tmp_path, in_dim=3)
     mu = write_measure(tmp_path, [[0.5, 0.0, 0.0], [0.5, 1.0, 1.0]], "mu.txt")

@@ -379,6 +379,67 @@ def test_product_outer_inf_hoelder_inequality_and_maximizer():
         assert attained == pytest.approx(dual, rel=1e-12)
 
 
+def label(space):
+    """Test id of a space: its families and exponents, factors joined by x."""
+    if space.family == "product":
+        return "(" + "x".join(label(sub) for sub, _ in space.factors) + f")_{space.p:g}"
+    if space.family == "weighted":
+        return "w" + label(space.base)
+    return f"{space.family}{space.p:g}"
+
+
+def has_product(space):
+    return space.family == "product" or (space.family == "weighted"
+                                         and has_product(space.base))
+
+
+THREE_FACTORS = spaces.product_space(
+    [(spaces.lp_space(1.5), 5), (spaces.lp_space(4.0), 5),
+     (spaces.weighted_space(spaces.lp_space(3.0), 0.5 + np.arange(6.0)), 6)], p=2.5)
+PRODUCTS = [s for s in space_zoo() if has_product(s)] + [THREE_FACTORS]
+
+
+@pytest.mark.parametrize("k", [-600, 0, 600])
+@pytest.mark.parametrize("space", PRODUCTS, ids=label)
+def test_product_norms_are_finite_and_homogeneous_at_any_scale(space, k):
+    # factor norms near 2^600 overflow at the outer power, near 2^-600
+    # they underflow; the outer L^p norm rescales both
+    rng = np.random.default_rng(30)
+    X, Y = rng.standard_normal((6, 16)), rng.standard_normal((4, 16))
+    c = 2.0 ** k
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = (spaces.norm_batch(space, c * X), spaces.dual_norm_batch(space, c * X),
+               spaces.pairwise_norms(space, c * X, c * Y))
+    want = (spaces.norm_batch(space, X), spaces.dual_norm_batch(space, X),
+            spaces.pairwise_norms(space, X, Y))
+    for g, w in zip(got, want):
+        assert np.all(np.isfinite(g)) and np.all(g > 0.0)
+        np.testing.assert_allclose(g / c, w, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("space", [s for s in PRODUCTS if s.family == "product"],
+                         ids=label)
+def test_product_norms_equal_the_power_sum_of_factor_norms(space):
+    rng = np.random.default_rng(31)
+    X, Y = rng.standard_normal((6, 16)), rng.standard_normal((4, 16))
+    edges = np.cumsum([0] + [size for _, size in space.factors])
+    cols = [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
+
+    def power_sum(norm, p, *args):
+        parts = [norm(sub, *(a[:, c] for a in args))
+                 for (sub, _), c in zip(space.factors, cols)]
+        return sum(part ** p for part in parts) ** (1.0 / p)
+
+    q = spaces.dual_exponent(space.p)
+    np.testing.assert_array_equal(spaces.norm_batch(space, X),
+                                  power_sum(spaces.norm_batch, space.p, X))
+    np.testing.assert_array_equal(spaces.dual_norm_batch(space, X),
+                                  power_sum(spaces.dual_norm_batch, q, X))
+    np.testing.assert_array_equal(spaces.pairwise_norms(space, X, Y),
+                                  power_sum(spaces.pairwise_norms, space.p, X, Y))
+
+
 def test_normalized_measure_rescales_counting_norm():
     rng = np.random.default_rng(21)
     p = 2.5
