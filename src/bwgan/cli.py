@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: ``norm``, ``heuristics``, ``train``, ``wasserstein``,
-``verify``.  Exit codes: 0 success, 1 verification failure, 2 usage or
-config error, 3 numerical divergence.
+``verify``.  Exit codes: 0 success, 1 verification failure, 2 usage,
+config or file error, 3 numerical divergence.  ``main`` alone maps
+exceptions to exit codes.
 """
 
 from __future__ import annotations
@@ -89,10 +90,8 @@ def _check_keys(section: dict, allowed: set, where: str):
 def load_run_config(path):
     """Parse and strictly validate a JSON run configuration."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except OSError as exc:
-        raise CliError(f"cannot read config: {exc}")
     except json.JSONDecodeError as exc:
         raise CliError(f"malformed JSON in {path}: {exc}")
     if not isinstance(doc, dict):
@@ -155,10 +154,8 @@ def write_metrics_csv(path, metrics, log_every: int = 1):
 
 def read_signal(path) -> np.ndarray:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             values = [float(tok) for tok in fh.read().split()]
-    except OSError as exc:
-        raise CliError(f"cannot read input: {exc}")
     except ValueError as exc:
         raise CliError(f"malformed signal file {path}: {exc}")
     if not values:
@@ -172,24 +169,21 @@ def read_signal(path) -> np.ndarray:
 def read_measure(path) -> DiscreteMeasure:
     """One support point per line: weight then coordinates."""
     weights, points = [], []
-    try:
-        with open(path) as fh:
-            for ln, line in enumerate(fh, 1):
-                if not line.strip():
-                    continue
-                toks = line.split()
-                if len(toks) < 2:
-                    raise CliError(f"{path}:{ln}: need weight and coordinates")
-                try:
-                    row = [float(t) for t in toks]
-                except ValueError:
-                    raise CliError(f"{path}:{ln}: non-numeric entry")
-                if not np.all(np.isfinite(row)):
-                    raise CliError(f"{path}:{ln}: non-finite entry")
-                weights.append(row[0])
-                points.append(row[1:])
-    except OSError as exc:
-        raise CliError(f"cannot read measure: {exc}")
+    with open(path, encoding="utf-8") as fh:
+        for ln, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            toks = line.split()
+            if len(toks) < 2:
+                raise CliError(f"{path}:{ln}: need weight and coordinates")
+            try:
+                row = [float(t) for t in toks]
+            except ValueError:
+                raise CliError(f"{path}:{ln}: non-numeric entry")
+            if not np.all(np.isfinite(row)):
+                raise CliError(f"{path}:{ln}: non-finite entry")
+            weights.append(row[0])
+            points.append(row[1:])
     if not points:
         raise CliError(f"empty measure file {path}")
     if len({len(p) for p in points}) != 1:
@@ -243,10 +237,7 @@ def cmd_heuristics(args) -> int:
 
 def cmd_train(args) -> int:
     config, out_dir, log_every = load_run_config(args.config)
-    try:
-        os.makedirs(out_dir, exist_ok=True)
-    except OSError as exc:
-        raise CliError(f"cannot create output directory {out_dir}: {exc.strerror}")
+    os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "metrics.csv")
     try:
         generator, critic, metrics = training.train(config)
@@ -282,10 +273,7 @@ def critic_from_checkpoint(path, activation="relu") -> Critic:
     The checkpoint must hold exactly the rebuilt critic's tensors, with
     their shapes.
     """
-    try:
-        tensors = checkpoint.load_tensors(path)
-    except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc.strerror}")
+    tensors = checkpoint.load_tensors(path)
     weights = []
     while f"critic.w{len(weights)}" in tensors:
         weights.append(tensors[f"critic.w{len(weights)}"])
@@ -327,7 +315,7 @@ def cmd_wasserstein(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Verification suites
+# Verification suites: each yields one verdict per check
 # ---------------------------------------------------------------------------
 
 def _suite_spaces():
@@ -338,7 +326,6 @@ def _suite_spaces():
 
 def suite_lemma1(rng):
     """Difference quotients dominated by segment gradient suprema."""
-    passed = failed = 0
     for space in _suite_spaces():
         dim = space.size or 64
         critic = Critic(dim, (24, 24), "tanh", rng=rng)
@@ -347,17 +334,12 @@ def suite_lemma1(rng):
             y = rng.standard_normal(dim)
             quot = lipschitz.difference_quotient(critic, space, x, y)
             sup = lipschitz.segment_grad_sup(critic, space, x, y, samples=100)
-            if quot <= sup + 1e-6:
-                passed += 1
-            else:
-                failed += 1
-    return passed, failed
+            yield quot <= sup + 1e-6
 
 
 def suite_holder(rng, perturb=0.0):
     """Dual-norm inequality plus exactness of the analytic maximizer; a
     non-finite dual norm fails."""
-    passed = failed = 0
     for space in _suite_spaces():
         dim = space.size or 64
         for _ in range(40):
@@ -367,16 +349,12 @@ def suite_holder(rng, perturb=0.0):
             ok = spaces.pairing(g, x) <= dual * spaces.norm(space, x) + 1e-10
             h = spaces.dual_norm_maximizer(space, g)
             attained = spaces.pairing(g, h) / spaces.norm(space, h)
-            ok = (ok and np.isfinite(dual)
-                  and abs(attained - dual) <= 1e-10 * max(1.0, dual))
-            passed += ok
-            failed += not ok
-    return passed, failed
+            yield (ok and np.isfinite(dual)
+                   and abs(attained - dual) <= 1e-10 * max(1.0, dual))
 
 
 def suite_sobolev0(rng):
     """W^{0,p} norms agree with L^p norms."""
-    passed = failed = 0
     for p in (1.3, 2.0, 4.0):
         lp = spaces.lp_space(p)
         w0 = spaces.sobolev_space(0.0, p, (16, 16))
@@ -384,16 +362,12 @@ def suite_sobolev0(rng):
             x = rng.standard_normal(256)
             a = spaces.norm(w0, x)
             b = spaces.norm(lp, x)
-            ok = abs(a - b) <= 1e-8 * max(1.0, b)
-            passed += ok
-            failed += not ok
-    return passed, failed
+            yield abs(a - b) <= 1e-8 * max(1.0, b)
 
 
 def suite_doublebackprop(rng):
     """Penalty parameter gradients match central finite differences."""
     from .training import CriticLossGraph
-    passed = failed = 0
     space = spaces.lp_space(2.0)
     critic = Critic(6, (12,), "softplus", rng=rng)
     graph = CriticLossGraph(critic, space, 10.0, 1.0, 0.0, 4)
@@ -415,10 +389,7 @@ def suite_doublebackprop(rng):
             flat[idx] = orig
             fd = (hi - lo) / (2.0 * eps)
             scale = max(abs(fd), 1e-6)
-            ok = abs(grad.reshape(-1)[idx] - fd) <= 1e-4 * scale
-            passed += ok
-            failed += not ok
-    return passed, failed
+            yield abs(grad.reshape(-1)[idx] - fd) <= 1e-4 * scale
 
 
 SUITES = {
@@ -442,8 +413,9 @@ def cmd_verify(args) -> int:
     names = [args.suite] if args.suite else list(SUITES)
     any_failed = False
     for name in names:
-        rng = np.random.default_rng(args.seed)
-        passed, failed = suites[name](rng)
+        verdicts = list(map(bool, suites[name](np.random.default_rng(args.seed))))
+        passed = sum(verdicts)
+        failed = len(verdicts) - passed
         status = "PASS" if failed == 0 else "FAIL"
         print(f"{name}: {status} ({passed} passed, {failed} failed)")
         any_failed = any_failed or failed
@@ -513,7 +485,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (CliError, checkpoint.CheckpointError, spaces.SpaceError,
-            TransportError) as exc:
+            TransportError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

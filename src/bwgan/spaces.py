@@ -33,6 +33,9 @@ MEASURES = ("counting", "normalized")
 # entries of a Sobolev space's transformed axes; its operator holds the
 # square of this many floats, 8 MB
 MAX_OPERATOR_SIZE = 1024
+# smallest normal float64, 2^-1022, and its square root
+_TINY = np.finfo(np.float64).tiny
+_ROOT_TINY = 2.0 ** -511
 
 
 class SpaceError(ValueError):
@@ -159,18 +162,21 @@ def dual_exponent(p: float) -> float:
 
 def _lp_norm_rows(X, p):
     """Per-row L^p norms.  A finite, nonzero row whose power sum overflows
-    to inf or underflows to 0 is recomputed scaled by its maximum."""
+    to inf or falls below the normal range is recomputed divided by the
+    power of two at its maximum, which is exact, and scaled back."""
     absx = np.abs(X)
     if np.isinf(p):
         return np.max(absx, axis=1)
     with np.errstate(over="ignore"):
-        out = np.sum(absx ** p, axis=1) ** (1.0 / p)
-    redo = np.flatnonzero((out == 0.0) | (out == np.inf))
+        sums = np.sum(absx ** p, axis=1)
+    out = sums ** (1.0 / p)
+    redo = np.flatnonzero((sums < _TINY) | (sums == np.inf))
     if redo.size:
         top = np.max(absx[redo], axis=1, keepdims=True)
         ok = np.isfinite(top[:, 0]) & (top[:, 0] > 0.0)
         redo, top = redo[ok], top[ok]
-        out[redo] = top[:, 0] * np.sum((absx[redo] / top) ** p, axis=1) ** (1.0 / p)
+        scale = np.ldexp(1.0, np.frexp(top)[1] - 1)
+        out[redo] = scale[:, 0] * np.sum((absx[redo] / scale) ** p, axis=1) ** (1.0 / p)
     return out
 
 
@@ -307,10 +313,11 @@ class _Pairs(_Rows):
         if p == 2.0:
             from scipy.spatial.distance import cdist
             out = cdist(X, Y)
-            if not np.isfinite(out).all():
-                # squares overflowed: divide by a power of two (exact), scale back
-                scale = 2.0 ** (np.frexp(max(np.abs(X).max(), np.abs(Y).max()))[1] - 1)
-                out = scale * cdist(X / scale, Y / scale)
+            # a sum of squares that overflowed or fell below the normal
+            # range (a distance of at most 2^-511): redo those pairs exactly
+            i, j = np.nonzero((out <= _ROOT_TINY) | (out == np.inf))
+            if i.size:
+                out[i, j] = _lp_norm_rows(X[i] - Y[j], 2.0)
             return out
         # one row at a time, so no (m, n, size) block is allocated
         out = np.empty((X.shape[0], Y.shape[0]))

@@ -264,6 +264,25 @@ def test_wasserstein_of_huge_l2_coordinates_is_finite(tmp_path, capsys):
         2.0 ** k * unscaled, rel=1e-12, abs=0.0)
 
 
+def test_wasserstein_of_tiny_l2_coordinates_scales_exactly(tmp_path, capsys):
+    # squared coordinate gaps of 2^-560 underflow to 0 in cdist
+    rows_a = [[0.5, 1.0, 0.0], [0.5, 0.0, 1.0]]
+    rows_b = [[0.5, 0.0, 0.0], [0.5, 3.0, 4.0]]
+    for k, name in ((0, "plain"), (-560, "tiny")):
+        for rows, side in ((rows_a, "a"), (rows_b, "b")):
+            write_measure(tmp_path, [[w, x * 2.0 ** k, y * 2.0 ** k] for w, x, y in rows],
+                          f"{name}_{side}.txt")
+    values = []
+    for name in ("plain", "tiny"):
+        assert cli.main(["wasserstein", str(tmp_path / f"{name}_a.txt"),
+                         str(tmp_path / f"{name}_b.txt")]) == cli.EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        values.append(float(captured.out.strip().split("=")[1]))
+    assert values[0] > 0.0
+    assert values[1] == pytest.approx(2.0 ** -560 * values[0], rel=1e-12, abs=0.0)
+
+
 def test_wasserstein_cost_overflow_exits_2(tmp_path, capsys):
     # ||x - y||_3 ~ 1e160 is finite, its square for --wp 2 is not
     a = write_measure(tmp_path, [[0.5, 1e160, 0.0], [0.5, 0.0, 1e160]], "a.txt")
@@ -396,8 +415,8 @@ def test_help_prints_usage_and_exits_0(capsys):
 
 
 def test_holder_suite_fails_on_infinite_dual_norm():
-    passed, failed = cli.suite_holder(np.random.default_rng(0), perturb=np.inf)
-    assert passed == 0 and failed > 0
+    verdicts = list(cli.suite_holder(np.random.default_rng(0), perturb=np.inf))
+    assert verdicts and not any(verdicts)
 
 
 def test_verify_validates_config(tmp_path, capsys):
@@ -515,6 +534,28 @@ def test_train_uncreatable_directory_exits_2_before_training(tmp_path, capsys,
     config.write_text(json.dumps(tiny_config_doc(tmp_path / "afile" / "sub")))
     monkeypatch.setattr(training, "train", None)
     assert cli.main(["train", str(config)]) == cli.EXIT_USAGE
+    assert_one_error_line(capsys)
+
+
+@pytest.mark.parametrize("name", ["metrics.csv", "critic.ckpt"])
+def test_train_output_file_that_is_a_directory_exits_2(tmp_path, capsys, name):
+    out_dir = tmp_path / "run"
+    (out_dir / name).mkdir(parents=True)
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(tiny_config_doc(out_dir)))
+    assert cli.main(["train", str(config)]) == cli.EXIT_USAGE
+    assert_one_error_line(capsys)
+
+
+@pytest.mark.parametrize("command", ["wasserstein", "train", "verify"])
+def test_non_utf8_input_file_exits_2(tmp_path, capsys, command):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\xfe 1 2\n")
+    mu = write_measure(tmp_path, [[0.5, 0.0, 0.0], [0.5, 1.0, 1.0]], "mu.txt")
+    argv = {"wasserstein": ["wasserstein", str(bad), mu],
+            "train": ["train", str(bad)],
+            "verify": ["verify", "--suite", "sobolev0", "--config", str(bad)]}[command]
+    assert cli.main(argv) == cli.EXIT_USAGE
     assert_one_error_line(capsys)
 
 

@@ -129,6 +129,38 @@ def test_lp_norm_rescales_rows_whose_power_sum_overflows_or_underflows(p):
     assert np.isnan(norms[6]) and norms[5] == np.inf and norms[4] == 0.0
 
 
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_lp_norm_is_homogeneous_under_powers_of_two(p):
+    # at 2^-530 the power sum is subnormal, at 2^-600 and 2^-1000 it is 0
+    # and at 2^600 it overflows; each such row is redone exactly scaled
+    X = np.random.default_rng(32).standard_normal((8, 5))
+    space = spaces.lp_space(p)
+    want = spaces.norm_batch(space, X)
+    for k in (-1000, -600, -530, 0, 600):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = np.ldexp(spaces.norm_batch(space, np.ldexp(X, k)), -k)
+        if p == 2.0:
+            np.testing.assert_array_equal(got, want)
+        else:
+            np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+
+
+def test_lp_norm_of_a_row_with_a_subnormal_power_sum_is_exact():
+    assert spaces.norm_batch(spaces.lp_space(2.0), [[1e-160, 0.0]])[0] == 1e-160
+
+
+def test_l2_pairwise_norms_redo_pairs_that_underflow_or_overflow():
+    L2 = spaces.lp_space(2.0)
+    X = np.array([[3e-170, 4e-170], [3.0, 4.0], [3e200, 4e200]])
+    y = np.zeros((1, 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = spaces.pairwise_norms(L2, X, y)[:, 0]
+    assert got[0] == 5e-170 and got[1] == 5.0
+    np.testing.assert_array_equal(got, spaces.norm_batch(L2, X))
+
+
 def test_dual_exponent():
     assert spaces.dual_exponent(2.0) == pytest.approx(2.0)
     assert spaces.dual_exponent(4.0) == pytest.approx(4.0 / 3.0)
