@@ -162,8 +162,11 @@ def dual_exponent(p: float) -> float:
 
 def _lp_norm_rows(X, p):
     """Per-row L^p norms.  A finite, nonzero row whose power sum overflows
-    to inf or falls below the normal range is recomputed divided by the
-    power of two at its maximum, which is exact, and scaled back."""
+    to inf or falls below the normal range is redone divided by the power
+    of two just above its maximum, which is exact, and scaled back: the
+    largest entry m is then in [0.5, 1), so the sum cannot overflow and
+    m^p stays normal while p <= 1022.  Above that it divides by the
+    maximum itself."""
     absx = np.abs(X)
     if np.isinf(p):
         return np.max(absx, axis=1)
@@ -175,8 +178,9 @@ def _lp_norm_rows(X, p):
         top = np.max(absx[redo], axis=1, keepdims=True)
         ok = np.isfinite(top[:, 0]) & (top[:, 0] > 0.0)
         redo, top = redo[ok], top[ok]
-        scale = np.ldexp(1.0, np.frexp(top)[1] - 1)
-        out[redo] = scale[:, 0] * np.sum((absx[redo] / scale) ** p, axis=1) ** (1.0 / p)
+        scale = np.ldexp(1.0, np.frexp(top)[1]) if p <= 1022.0 else top
+        with np.errstate(under="ignore"):
+            out[redo] = scale[:, 0] * np.sum((absx[redo] / scale) ** p, axis=1) ** (1.0 / p)
     return out
 
 
@@ -313,11 +317,12 @@ class _Pairs(_Rows):
         if p == 2.0:
             from scipy.spatial.distance import cdist
             out = cdist(X, Y)
-            # a sum of squares that overflowed or fell below the normal
-            # range (a distance of at most 2^-511): redo those pairs exactly
-            i, j = np.nonzero((out <= _ROOT_TINY) | (out == np.inf))
-            if i.size:
-                out[i, j] = _lp_norm_rows(X[i] - Y[j], 2.0)
+            # redo, one row of X at a time as below, each distance of at most
+            # 2^-511 (0 included: distinct points can underflow to 0) or inf
+            bad = (out <= _ROOT_TINY) | (out == np.inf)
+            for i in np.flatnonzero(bad.any(axis=1)):
+                js = np.flatnonzero(bad[i])
+                out[i, js] = _lp_norm_rows(X[i] - Y[js], 2.0)
             return out
         # one row at a time, so no (m, n, size) block is allocated
         out = np.empty((X.shape[0], Y.shape[0]))

@@ -150,6 +150,26 @@ def test_lp_norm_of_a_row_with_a_subnormal_power_sum_is_exact():
     assert spaces.norm_batch(spaces.lp_space(2.0), [[1e-160, 0.0]])[0] == 1e-160
 
 
+@pytest.mark.parametrize("p, row, want", [
+    (1000.0, [1e300, 1e300], 2.0 ** 1e-3 * 1e300),
+    (2000.0, [1.5, 1.0], 1.5),
+    (7000.0, [0.9], 0.9)])
+def test_lp_norm_at_large_exponents_is_finite(p, row, want):
+    # the power sums overflow or underflow; the rescue itself must not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = spaces.norm_batch(spaces.lp_space(p), [row])[0]
+    assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_dual_norm_near_p_one_is_the_row_maximum():
+    # the dual exponent of p = 1.0005 is about 2001, so 1.5^q overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = spaces.dual_norm_batch(spaces.lp_space(1.0005), [[1.5, 1.0]])[0]
+    assert got == pytest.approx(1.5, rel=1e-12)
+
+
 def test_l2_pairwise_norms_redo_pairs_that_underflow_or_overflow():
     L2 = spaces.lp_space(2.0)
     X = np.array([[3e-170, 4e-170], [3.0, 4.0], [3e200, 4e200]])
@@ -159,6 +179,21 @@ def test_l2_pairwise_norms_redo_pairs_that_underflow_or_overflow():
         got = spaces.pairwise_norms(L2, X, y)[:, 0]
     assert got[0] == 5e-170 and got[1] == 5.0
     np.testing.assert_array_equal(got, spaces.norm_batch(L2, X))
+
+
+def test_l2_pairwise_norms_redo_every_pair_of_a_tiny_scale_matrix():
+    # at 2^-560 every sum of squares underflows, so each pair is redone;
+    # X[0] equals Y[2], whose distance stays 0
+    rng = np.random.default_rng(5)
+    X, Y = rng.standard_normal((6, 3)), rng.standard_normal((5, 3))
+    Y[2] = X[0]
+    L2 = spaces.lp_space(2.0)
+    want = spaces.norm_batch(L2, (X[:, None] - Y[None]).reshape(-1, 3)).reshape(6, 5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = spaces.pairwise_norms(L2, np.ldexp(X, -560), np.ldexp(Y, -560))
+    np.testing.assert_array_equal(np.ldexp(got, 560), want)
+    assert got[0, 2] == 0.0 and np.all(np.delete(got.ravel(), 2) > 0.0)
 
 
 def test_dual_exponent():
