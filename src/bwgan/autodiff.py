@@ -94,22 +94,34 @@ def wrap(x) -> Node:
 
 
 # ---------------------------------------------------------------------------
-# Broadcasting helpers (narrow, explicit)
+# Operand shapes: elementwise, and broadcasting (narrow, explicit)
 # ---------------------------------------------------------------------------
 
-def _broadcast_shape(a: Node, b: Node, opname: str):
-    sa, sb = a.shape, b.shape
-    if sa == sb:
-        return sa
-    if sa == ():
-        return sb
-    if sb == ():
-        return sa
-    if len(sa) == 2 and sb == (sa[1],):
-        return sa
-    if len(sb) == 2 and sa == (sb[1],):
-        return sb
-    raise ShapeError(f"{opname}: incompatible shapes {sa} and {sb}")
+class _Elementwise(Node):
+    """A node of one operand, with that operand's shape."""
+
+    __slots__ = ()
+
+    def __init__(self, a):
+        super().__init__(a.shape, (a,))
+
+
+class _Broadcasting(Node):
+    """A node of two operands under the narrow broadcasting rule; its
+    errors name the op by its class name in lower case."""
+
+    __slots__ = ()
+
+    def __init__(self, a, b):
+        sa, sb = a.shape, b.shape
+        if sa == sb or sb == () or (len(sa) == 2 and sb == (sa[1],)):
+            shape = sa
+        elif sa == () or (len(sb) == 2 and sa == (sb[1],)):
+            shape = sb
+        else:
+            raise ShapeError(f"{type(self).__name__.lower()}: incompatible shapes "
+                             f"{sa} and {sb}")
+        super().__init__(shape, (a, b))
 
 
 def _unbroadcast(g: Node, shape) -> Node:
@@ -127,10 +139,7 @@ def _unbroadcast(g: Node, shape) -> Node:
 # Elementwise arithmetic
 # ---------------------------------------------------------------------------
 
-class Add(Node):
-    def __init__(self, a, b):
-        super().__init__(_broadcast_shape(a, b, "add"), (a, b))
-
+class Add(_Broadcasting):
     def compute(self, a, b):
         return a + b
 
@@ -138,10 +147,7 @@ class Add(Node):
         return _unbroadcast(g, self.parents[index].shape)
 
 
-class Sub(Node):
-    def __init__(self, a, b):
-        super().__init__(_broadcast_shape(a, b, "sub"), (a, b))
-
+class Sub(_Broadcasting):
     def compute(self, a, b):
         return a - b
 
@@ -151,10 +157,7 @@ class Sub(Node):
         return _unbroadcast(neg(g), self.parents[1].shape)
 
 
-class Mul(Node):
-    def __init__(self, a, b):
-        super().__init__(_broadcast_shape(a, b, "mul"), (a, b))
-
+class Mul(_Broadcasting):
     def compute(self, a, b):
         return a * b
 
@@ -163,10 +166,7 @@ class Mul(Node):
         return _unbroadcast(mul(g, other), self.parents[index].shape)
 
 
-class Neg(Node):
-    def __init__(self, a):
-        super().__init__(a.shape, (a,))
-
+class Neg(_Elementwise):
     def compute(self, a):
         return -a
 
@@ -229,10 +229,7 @@ class Reshape(Node):
 # Nonlinearities
 # ---------------------------------------------------------------------------
 
-class Tanh(Node):
-    def __init__(self, a):
-        super().__init__(a.shape, (a,))
-
+class Tanh(_Elementwise):
     def compute(self, a):
         return np.tanh(a)
 
@@ -240,10 +237,7 @@ class Tanh(Node):
         return mul(g, sub(1.0, mul(self, self)))
 
 
-class Softplus(Node):
-    def __init__(self, a):
-        super().__init__(a.shape, (a,))
-
+class Softplus(_Elementwise):
     def compute(self, a):
         return np.logaddexp(0.0, a)
 
@@ -251,10 +245,7 @@ class Softplus(Node):
         return mul(g, sigmoid(self.parents[0]))
 
 
-class Sigmoid(Node):
-    def __init__(self, a):
-        super().__init__(a.shape, (a,))
-
+class Sigmoid(_Elementwise):
     def compute(self, a):
         out = np.empty_like(a)
         pos = a >= 0
@@ -267,10 +258,7 @@ class Sigmoid(Node):
         return mul(g, mul(self, sub(1.0, self)))
 
 
-class Relu(Node):
-    def __init__(self, a):
-        super().__init__(a.shape, (a,))
-
+class Relu(_Elementwise):
     def compute(self, a):
         return np.maximum(a, 0.0)
 
@@ -278,12 +266,9 @@ class Relu(Node):
         return mul(g, step(self.parents[0]))
 
 
-class Step(Node):
+class Step(_Elementwise):
     """Heaviside step with the convention step(0) = 0; derivative taken as 0,
     so its vjp is a symbolic zero and ``grad`` propagates nothing through it."""
-
-    def __init__(self, a):
-        super().__init__(a.shape, (a,))
 
     def compute(self, a):
         return (a > 0.0).astype(np.float64)
@@ -306,13 +291,13 @@ def _abs_pow_array(a, exponent, signed):
     return np.sign(a) * out if signed else out
 
 
-class AbsPow(Node):
+class AbsPow(_Elementwise):
     """|x|^a elementwise.  For a <= 1 the value is kinked at 0."""
 
     __slots__ = ("exponent",)
 
     def __init__(self, a, exponent):
-        super().__init__(a.shape, (a,))
+        super().__init__(a)
         self.exponent = float(exponent)
 
     def compute(self, a):

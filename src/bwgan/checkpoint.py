@@ -25,10 +25,7 @@ def save_tensors(path, tensors: dict) -> None:
         fh.write(MAGIC)
         fh.write(struct.pack("<II", VERSION, len(tensors)))
         for name, value in tensors.items():
-            # ascontiguousarray promotes 0-d to 1-d, losing scalar shapes
             value = np.asarray(value, dtype="<f8")
-            if value.ndim:
-                value = np.ascontiguousarray(value)
             encoded = name.encode("utf-8")
             fh.write(struct.pack("<I", len(encoded)))
             fh.write(encoded)

@@ -87,11 +87,20 @@ def _check_keys(section: dict, allowed: set, where: str):
             raise CliError(f"unknown key {key!r} in {where} section")
 
 
+def read_text(path) -> str:
+    """The contents of a UTF-8 text input; other bytes raise a CliError
+    that names the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}")
+
+
 def load_run_config(path):
     """Parse and strictly validate a JSON run configuration."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+        doc = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise CliError(f"malformed JSON in {path}: {exc}")
     if not isinstance(doc, dict):
@@ -153,9 +162,9 @@ def write_metrics_csv(path, metrics, log_every: int = 1):
 # ---------------------------------------------------------------------------
 
 def read_signal(path) -> np.ndarray:
+    text = read_text(path)
     try:
-        with open(path, encoding="utf-8") as fh:
-            values = [float(tok) for tok in fh.read().split()]
+        values = [float(tok) for tok in text.split()]
     except ValueError as exc:
         raise CliError(f"malformed signal file {path}: {exc}")
     if not values:
@@ -169,21 +178,20 @@ def read_signal(path) -> np.ndarray:
 def read_measure(path) -> DiscreteMeasure:
     """One support point per line: weight then coordinates."""
     weights, points = [], []
-    with open(path, encoding="utf-8") as fh:
-        for ln, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            toks = line.split()
-            if len(toks) < 2:
-                raise CliError(f"{path}:{ln}: need weight and coordinates")
-            try:
-                row = [float(t) for t in toks]
-            except ValueError:
-                raise CliError(f"{path}:{ln}: non-numeric entry")
-            if not np.all(np.isfinite(row)):
-                raise CliError(f"{path}:{ln}: non-finite entry")
-            weights.append(row[0])
-            points.append(row[1:])
+    for ln, line in enumerate(read_text(path).split("\n"), 1):
+        if not line.strip():
+            continue
+        toks = line.split()
+        if len(toks) < 2:
+            raise CliError(f"{path}:{ln}: need weight and coordinates")
+        try:
+            row = [float(t) for t in toks]
+        except ValueError:
+            raise CliError(f"{path}:{ln}: non-numeric entry")
+        if not np.all(np.isfinite(row)):
+            raise CliError(f"{path}:{ln}: non-finite entry")
+        weights.append(row[0])
+        points.append(row[1:])
     if not points:
         raise CliError(f"empty measure file {path}")
     if len({len(p) for p in points}) != 1:
@@ -218,6 +226,8 @@ def uniform_cube(dim):
 def cmd_heuristics(args) -> int:
     if args.samples < 1:
         raise CliError("need --samples >= 1")
+    if args.seed < 0:
+        raise CliError("need --seed >= 0")
     rng = np.random.default_rng(args.seed)
     if args.dataset == "uniform_cube":
         if args.dim < 1:
@@ -243,8 +253,7 @@ def cmd_train(args) -> int:
         generator, critic, metrics = training.train(config)
     except DivergenceError as exc:
         write_metrics_csv(csv_path, exc.metrics, log_every)
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIVERGED
+        raise
     write_metrics_csv(csv_path, metrics, log_every)
     checkpoint.save_tensors(os.path.join(out_dir, "generator.ckpt"),
                             generator.mlp.params)
@@ -291,6 +300,8 @@ def critic_from_checkpoint(path, activation="relu") -> Critic:
         if tensors[name].shape != params[name].shape:
             raise CliError(f"{path}: tensor {name} has shape {tensors[name].shape}, "
                            f"expected {params[name].shape}")
+        if not np.all(np.isfinite(tensors[name])):
+            raise CliError(f"{path}: tensor {name} has a non-finite entry")
     critic.mlp.set_params(tensors)
     return critic
 
@@ -402,6 +413,8 @@ SUITES = {
 
 def cmd_verify(args) -> int:
     perturb = args.perturb_dual_norm
+    if args.seed < 0:
+        raise CliError("need --seed >= 0")
     if not np.isfinite(perturb):
         raise CliError(f"--perturb-dual-norm must be finite, got {perturb}")
     if perturb and args.suite not in (None, "holder"):
@@ -484,8 +497,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except DivergenceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DIVERGED
     except (CliError, checkpoint.CheckpointError, spaces.SpaceError,
-            TransportError, OSError, UnicodeDecodeError) as exc:
+            TransportError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

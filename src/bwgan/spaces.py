@@ -204,10 +204,7 @@ def sobolev_weights(spatial_shape: tuple, s: float, frequency_scale: float):
     """
     lengths = fft_lengths(spatial_shape)
     grids = [2.0 * frequency_scale * np.fft.fftfreq(n) for n in lengths]
-    if len(lengths) == 1:
-        xi_sq = grids[0] ** 2
-    else:
-        xi_sq = grids[0][:, None] ** 2 + grids[1][None, :] ** 2
+    xi_sq = sum(g ** 2 for g in np.meshgrid(*grids, indexing="ij"))
     return (1.0 + xi_sq) ** (s / 2.0)
 
 
@@ -226,11 +223,10 @@ def sobolev_operator(spatial_shape: tuple, s: float, frequency_scale: float):
     lengths = fft_lengths(spatial_shape)
     kernel = np.fft.ifftn(sobolev_weights(spatial_shape, s, frequency_scale)).real
     kernel = 0.5 * (kernel + kernel[np.ix_(*[-np.arange(n) % n for n in lengths])])
-    offsets = [np.subtract.outer(np.arange(n), np.arange(n)) % n for n in lengths]
-    if len(lengths) == 1:
-        K = kernel[offsets[0]]
-    else:
-        K = kernel[offsets[0][:, None, :, None], offsets[1][None, :, None, :]]
+    # sparse grids of the row and column multi-indices: no n^2-entry index arrays
+    idx = np.meshgrid(*[np.arange(n) for n in lengths * 2], indexing="ij", sparse=True)
+    d = len(lengths)
+    K = kernel[tuple((i - j) % n for i, j, n in zip(idx[:d], idx[d:], lengths))]
     K = K.reshape(kernel.size, kernel.size)
     K.flags.writeable = False
     return K

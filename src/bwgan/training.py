@@ -200,9 +200,8 @@ class CriticLossGraph:
         self.param_names = critic.mlp.param_names()
         param_nodes = [critic.mlp.nodes[k] for k in self.param_names]
         self.grad_nodes = ad.grad(self.loss, param_nodes)
-        metrics = [self.loss, self.penalty, self.dn_mean, self.drift]
-        self._metrics = ad.Program(metrics)
-        self._metrics_and_grads = ad.Program(metrics + self.grad_nodes)
+        self._program = ad.Program([self.loss, self.penalty, self.dn_mean, self.drift,
+                                    *self.grad_nodes])
 
     def _env(self, real, fake, xhat):
         env = self.critic.mlp.env()
@@ -211,17 +210,17 @@ class CriticLossGraph:
         env[self.x_hat] = xhat
         return env
 
+    def _run(self, real, fake, xhat):
+        """The metrics dict and the parameter gradient dict."""
+        vals = self._program(self._env(real, fake, xhat))
+        metrics = dict(zip(("loss", "penalty", "dn_mean", "drift"), map(float, vals[:4])))
+        return metrics, dict(zip(self.param_names, vals[4:]))
+
     def losses(self, real, fake, xhat) -> dict:
-        vals = self._metrics(self._env(real, fake, xhat))
-        return {"loss": float(vals[0]), "penalty": float(vals[1]),
-                "dn_mean": float(vals[2]), "drift": float(vals[3])}
+        return self._run(real, fake, xhat)[0]
 
     def losses_and_grads(self, real, fake, xhat):
-        vals = self._metrics_and_grads(self._env(real, fake, xhat))
-        metrics = {"loss": float(vals[0]), "penalty": float(vals[1]),
-                   "dn_mean": float(vals[2]), "drift": float(vals[3])}
-        grads = dict(zip(self.param_names, vals[4:]))
-        return metrics, grads
+        return self._run(real, fake, xhat)
 
 
 class GeneratorLossGraph:

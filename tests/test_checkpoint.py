@@ -22,6 +22,19 @@ def test_round_trip_bit_exact(tmp_path):
         assert loaded[k].tobytes() == np.ascontiguousarray(tensors[k]).tobytes()
 
 
+@pytest.mark.parametrize("layout", [np.asfortranarray, lambda a: a[::2, ::3],
+                                    lambda a: a[::-1, ::-1]],
+                         ids=["fortran", "strided", "reversed"])
+def test_any_layout_saves_the_bytes_of_its_c_contiguous_copy(tmp_path, layout):
+    value = layout(np.arange(60.0).reshape(6, 10))
+    assert not value.flags.c_contiguous
+    paths = tmp_path / "view.ckpt", tmp_path / "copy.ckpt"
+    checkpoint.save_tensors(paths[0], {"t": value})
+    checkpoint.save_tensors(paths[1], {"t": np.ascontiguousarray(value)})
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    assert np.array_equal(checkpoint.load_tensors(paths[0])["t"], value)
+
+
 def test_save_is_deterministic(tmp_path):
     tensors = {"a": np.arange(6.0).reshape(2, 3)}
     p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"

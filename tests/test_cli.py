@@ -341,6 +341,11 @@ def test_heuristics_rejects_zero_samples(capsys):
     assert cli.main(["heuristics", "--samples", "0"]) == cli.EXIT_USAGE
 
 
+def test_heuristics_rejects_negative_seed(capsys):
+    assert cli.main(["heuristics", "--seed", "-1"]) == cli.EXIT_USAGE
+    assert_one_error_line(capsys)
+
+
 def test_heuristics_rejects_nonpositive_dim(capsys):
     assert cli.main(["heuristics", "--dataset", "uniform_cube",
                      "--dim", "-1"]) == cli.EXIT_USAGE
@@ -405,6 +410,13 @@ def test_argparse_errors_exit_2_with_one_line(capsys, argv):
     assert captured.out == ""
     assert captured.err.startswith("bwgan") and ": error: " in captured.err
     assert len(captured.err.splitlines()) == 1
+
+
+def test_verify_rejects_negative_seed(capsys):
+    assert cli.main(["verify", "--seed", "-1"]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
 
 
 def test_help_prints_usage_and_exits_0(capsys):
@@ -556,7 +568,8 @@ def test_non_utf8_input_file_exits_2(tmp_path, capsys, command):
             "train": ["train", str(bad)],
             "verify": ["verify", "--suite", "sobolev0", "--config", str(bad)]}[command]
     assert cli.main(argv) == cli.EXIT_USAGE
-    assert_one_error_line(capsys)
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ") and len(err.splitlines()) == 1
 
 
 def test_train_rejects_malformed_json(tmp_path, capsys):
@@ -655,6 +668,21 @@ def test_check_dual_with_mismatched_tensors_exits_2(tmp_path, capsys, edit):
     assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
 
 
+def test_check_dual_with_non_finite_tensor_exits_2(tmp_path, capsys):
+    critic = Critic(2, (8,), "relu", rng=np.random.default_rng(3))
+    params = dict(critic.mlp.params)
+    params["critic.w0"] = params["critic.w0"].copy()
+    params["critic.w0"][1, 2] = np.nan
+    ckpt = tmp_path / "critic.ckpt"
+    checkpoint.save_tensors(ckpt, params)
+    mu = write_measure(tmp_path, [[0.5, 0.0, 0.0], [0.5, 1.0, 1.0]], "mu.txt")
+    assert cli.main(["wasserstein", mu, mu, "--check-dual", str(ckpt)]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+    assert "critic.w0" in captured.err
+
+
 # ---------------------------------------------------------------------------
 # Corrupt checkpoints
 # ---------------------------------------------------------------------------
@@ -684,3 +712,55 @@ def test_check_dual_with_missing_checkpoint_exits_2(tmp_path, capsys):
     missing = str(tmp_path / "missing.ckpt")
     assert cli.main(["wasserstein", mu, mu, "--check-dual", missing]) == cli.EXIT_USAGE
     assert len(capsys.readouterr().err.splitlines()) == 1
+
+
+# ---------------------------------------------------------------------------
+# Malformed inputs: one error line, exit 2
+# ---------------------------------------------------------------------------
+
+def config_file(tmp_path, doc):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(doc))
+    return ["train", str(path)]
+
+
+def measure_file(tmp_path, text):
+    path = tmp_path / "mu.txt"
+    path.write_text(text)
+    return ["wasserstein", str(path), str(path)]
+
+
+def signal_file(tmp_path, text, *flags):
+    path = tmp_path / "signal.txt"
+    path.write_text(text)
+    return ["norm", str(path), *flags]
+
+
+# case -> (argv maker, what the error line says)
+MALFORMED_INPUTS = {
+    "bad-shape": (lambda t: signal_file(t, "1 2 3 4\n", "--space", "sobolev",
+                                        "--shape", "2xb"), "bad --shape"),
+    "config-root-list": (lambda t: config_file(t, [1, 2]), "config root"),
+    "section-not-object": (lambda t: config_file(t, {"train": [1]}),
+                           "train section must be an object"),
+    "unsupported-family": (lambda t: config_file(t, {"space": {"family": "weighted"}}),
+                           "unsupported space family"),
+    "directory-not-string": (lambda t: config_file(t, {"output": {"directory": 5}}),
+                             "directory must be a string"),
+    "empty-signal": (lambda t: signal_file(t, " \n"), "empty signal file"),
+    "measure-one-token": (lambda t: measure_file(t, "1.0\n"),
+                          ":1: need weight and coordinates"),
+    "measure-non-numeric": (lambda t: measure_file(t, "\n1.0 x\n"),
+                            ":2: non-numeric entry"),
+    "empty-measure": (lambda t: measure_file(t, "\n \n"), "empty measure file"),
+}
+
+
+@pytest.mark.parametrize("make_argv,message", list(MALFORMED_INPUTS.values()),
+                         ids=list(MALFORMED_INPUTS))
+def test_malformed_input_exits_2_with_one_line(tmp_path, capsys, make_argv, message):
+    assert cli.main(make_argv(tmp_path)) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+    assert message in captured.err
