@@ -6,15 +6,23 @@ k >= 1 and one N <= 64, is solved as an assignment problem
 and, by Birkhoff-von Neumann and the integrality of the transportation
 polytope, an optimal coupling of the two uniform N-point measures is a
 permutation scaled by 1/N, with the same optimal cost.  Uniform pairs of
-equal size are the case k = 1.  Every other pair is solved as a linear
-program over the coupling polytope (HiGHS dual simplex, sparse marginal
-constraints).  Supports are capped at 64 points per measure so each solve
-stays sub-second at desk scale.  The scipy solvers are imported at the
-first solve that needs them, the LP through the module-level ``linprog``.
+equal size are the case k = 1.  The solver gets the costs less their
+column, then row, minima: every assignment's cost moves by one constant,
+so the optimal set is unchanged, and the solver, which starts from zero
+duals, finds its augmenting paths sooner.  Every other pair is solved as a
+linear program over the coupling polytope (HiGHS dual simplex, sparse
+marginal constraints).  Both paths solve on the distances divided by a
+power of two above the largest, raised to the power p, and scale the
+value back by W_p(a mu, a nu) = a W_p(mu, nu): no cost overflows, the LP
+sees costs of at most 1, and for p = 1 the division is exact.  Supports
+are capped at 64 points per measure so each solve stays sub-second at desk
+scale.  The scipy solvers are imported at the first solve that needs them,
+the LP through the module-level ``linprog``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,9 +134,14 @@ def _assignment_plan(C: np.ndarray, total: int, a: np.ndarray,
     """
     from scipy.optimize import linear_sum_assignment
     m, n = C.shape
+    # reduced costs (module docstring); columns first measured faster
+    reduced = C - C.min(axis=0)
+    reduced -= reduced.min(axis=1, keepdims=True)
     owner_row = np.repeat(np.arange(m), a)
     owner_col = np.repeat(np.arange(n), b)
-    rows, cols = linear_sum_assignment(C[np.ix_(owner_row, owner_col)])
+    # two takes measured faster than one np.ix_ gather
+    rows, cols = linear_sum_assignment(
+        reduced.take(owner_row, axis=0).take(owner_col, axis=1))
     pairs = np.bincount(owner_row[rows] * n + owner_col[cols], minlength=m * n)
     return pairs.reshape(m, n) / total
 
@@ -167,9 +180,12 @@ def wasserstein_p_exact(mu: DiscreteMeasure, nu: DiscreteMeasure,
         raise TransportError(
             f"support sizes ({m}, {n}) exceed the cap of {MAX_SUPPORT}")
     with np.errstate(over="ignore"):
-        C = cost_matrix(mu, nu, space, p)
-    if not np.isfinite(C).all():
-        raise TransportError(f"a cost ||x - y||^{p:g} overflows the float range")
+        D = cost_matrix(mu, nu, space)
+    if not np.isfinite(D).all():
+        raise TransportError("a distance ||x - y|| overflows the float range")
+    # a power of two above the largest distance (module docstring)
+    scale = math.ldexp(1.0, math.frexp(D.max())[1])
+    C = (D / scale) ** p
     counts = _unit_counts(mu, nu)
     if counts is not None:
         matrix = _assignment_plan(C, *counts)
@@ -180,7 +196,7 @@ def wasserstein_p_exact(mu: DiscreteMeasure, nu: DiscreteMeasure,
         raise TransportError(
             f"marginal violation {plan.marginal_error():.3e} above tolerance")
     cost = float(np.sum(plan.matrix * C))
-    return max(cost, 0.0) ** (1.0 / p), plan
+    return scale * max(cost, 0.0) ** (1.0 / p), plan
 
 
 def wasserstein_1(mu: DiscreteMeasure, nu: DiscreteMeasure,

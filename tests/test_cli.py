@@ -283,14 +283,57 @@ def test_wasserstein_of_tiny_l2_coordinates_scales_exactly(tmp_path, capsys):
     assert values[1] == pytest.approx(2.0 ** -560 * values[0], rel=1e-12, abs=0.0)
 
 
-def test_wasserstein_cost_overflow_exits_2(tmp_path, capsys):
-    # ||x - y||_3 ~ 1e160 is finite, its square for --wp 2 is not
-    a = write_measure(tmp_path, [[0.5, 1e160, 0.0], [0.5, 0.0, 1e160]], "a.txt")
-    b = write_measure(tmp_path, [[0.5, 0.0, 0.0], [0.5, 1e160, 1e160]], "b.txt")
+def test_wasserstein_cost_overflow_scales_to_finite(tmp_path, capsys):
+    # ||x - y||_3 ~ 1e160 is finite, its square for --wp 2 is not; the
+    # solve divides the distances by a power of two before the power
+    rows_a = [[0.5, 1.0, 0.0], [0.5, 0.0, 1.0]]
+    rows_b = [[0.5, 0.0, 0.0], [0.5, 1.0, 1.0]]
+    a = write_measure(tmp_path, [[w, 1e160 * x, 1e160 * y] for w, x, y in rows_a], "a.txt")
+    b = write_measure(tmp_path, [[w, 1e160 * x, 1e160 * y] for w, x, y in rows_b], "b.txt")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert cli.main(["wasserstein", a, b, "--p", "3", "--wp", "2"]) == cli.EXIT_USAGE
-    assert_one_error_line(capsys)
+        assert cli.main(["wasserstein", a, b, "--p", "3", "--wp", "2"]) == cli.EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    mu, nu = (transport.DiscreteMeasure(np.array(rows)[:, 1:], np.array(rows)[:, 0])
+              for rows in (rows_a, rows_b))
+    unscaled, _ = transport.wasserstein_p_exact(mu, nu, spaces.lp_space(3.0), 2.0)
+    assert float(captured.out.strip().split("=")[1]) == pytest.approx(
+        1e160 * unscaled, rel=1e-12, abs=0.0)
+
+
+def test_wasserstein_of_huge_general_weights_is_finite(tmp_path, capsys):
+    # general (Dirichlet) weights go to the LP, which failed on costs near
+    # 1e160 before the distances were scaled
+    rng = np.random.default_rng(0)
+    rows = [np.column_stack([rng.dirichlet(np.ones(size)),
+                             rng.standard_normal((size, 3)) + shift])
+            for size, shift in ((5, 0.0), (4, 0.5))]
+    values = []
+    for scale in (1.0, 1e160):
+        paths = [write_measure(tmp_path, r * [1.0, scale, scale, scale], f"{side}.txt")
+                 for r, side in zip(rows, "ab")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["wasserstein", *paths, "--p", "3"]) == cli.EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        values.append(float(captured.out.strip().split("=")[1]))
+    # both are printed to 12 significant digits
+    assert values[0] > 0.0
+    assert values[1] == pytest.approx(1e160 * values[0], rel=1e-11, abs=0.0)
+
+
+def test_wasserstein_infinite_distance_exits_2(tmp_path, capsys):
+    # ||(1e308, 0) - (-1e308, 0)|| = 2e308 is not a float
+    a = write_measure(tmp_path, [[1.0, 1e308, 0.0]], "a.txt")
+    b = write_measure(tmp_path, [[1.0, -1e308, 0.0]], "b.txt")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["wasserstein", a, b]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "overflows" in err
 
 
 def test_check_dual_critic_of_other_dimension_exits_2(tmp_path, capsys):

@@ -8,6 +8,9 @@ from bwgan import autodiff as ad
 from bwgan import spaces
 
 
+NAN, INF = float("nan"), float("inf")
+
+
 def space_zoo(dim=16):
     """One space per family, all of flat size ``dim``."""
     w = 0.5 + np.arange(dim) / dim
@@ -78,6 +81,29 @@ def test_sobolev_rejects_overflowing_multiplier(s, frequency_scale):
 def test_weighted_rejects_zero_weight():
     with pytest.raises(spaces.SpaceError):
         spaces.weighted_space(spaces.lp_space(2.0), np.array([1.0, 0.0, 2.0]))
+
+
+@pytest.mark.parametrize("weight, p", [
+    ([1.0, NAN, 2.0], 2.0),
+    ([1.0, INF, 2.0], 2.0),
+    ([1.0, 1e-320, 2.0], 2.0),   # its reciprocal overflows
+    ([1.0, 1.0, 2.0], 3.0),      # p differs from the base's
+], ids=["nan-weight", "inf-weight", "weight-with-infinite-reciprocal",
+        "p-differs-from-base"])
+def test_weighted_rejects_what_it_cannot_evaluate(weight, p):
+    with pytest.raises(spaces.SpaceError):
+        spaces.SpaceSpec("weighted", p=p, base=spaces.lp_space(2.0),
+                         weight=np.array(weight))
+
+
+@pytest.mark.parametrize("factor", [
+    (spaces.lp_space(2.0), 0),
+    (spaces.lp_space(2.0), -1),
+    (spaces.sobolev_space(1.0, 2.0, (8,)), 6),
+], ids=["size-0", "size-minus-1", "size-differs-from-sobolev"])
+def test_product_rejects_factor_sizes_it_cannot_evaluate(factor):
+    with pytest.raises(spaces.SpaceError, match="size"):
+        spaces.product_space([(spaces.lp_space(3.0), 4), factor])
 
 
 def test_size_property():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -150,35 +152,65 @@ def test_lp_matches_vertex_enumeration(monkeypatch):
 COST_DIM = 64
 
 
-def cost_space_zoo():
-    half = COST_DIM // 2
+def cost_space_zoo(dim=COST_DIM):
+    half = dim // 2
+    side = int(round(dim ** 0.5))
     return [
         spaces.lp_space(1.0),
         spaces.lp_space(1.5),
         spaces.lp_space(2.0),
         spaces.lp_space(np.inf),
         spaces.lp_space(2.0, measure="normalized"),
-        spaces.sobolev_space(1.0, 2.0, (8, 8)),
-        spaces.sobolev_space(-1.0, 2.0, (8, 8)),
-        spaces.sobolev_space(1.0, 1.5, (8, 8)),
-        spaces.weighted_space(spaces.lp_space(3.0),
-                              0.5 + np.arange(COST_DIM) / COST_DIM),
+        spaces.sobolev_space(1.0, 2.0, (side, side)),
+        spaces.sobolev_space(-1.0, 2.0, (side, side)),
+        spaces.sobolev_space(1.0, 1.5, (side, side)),
+        spaces.weighted_space(spaces.lp_space(3.0), 0.5 + np.arange(dim) / dim),
         spaces.product_space([(spaces.lp_space(1.5), half),
-                              (spaces.lp_space(4.0), COST_DIM - half)]),
+                              (spaces.lp_space(4.0), dim - half)]),
     ]
 
 
-@pytest.mark.parametrize("space", cost_space_zoo(),
-                         ids=lambda s: f"{s.family}-p{s.p}-s{s.s}-{s.measure}")
-def test_cost_matrix_matches_per_difference_norms(space):
-    rng = np.random.default_rng(6)
-    mu = random_measure(rng, 7, dim=COST_DIM)
-    nu = random_measure(rng, 5, dim=COST_DIM)
-    for p in (1.0, 2.0):
-        expected = np.array([[spaces.norm_batch(space, (x - y)[None, :])[0] ** p
-                              for y in nu.points] for x in mu.points])
-        np.testing.assert_allclose(transport.cost_matrix(mu, nu, space, p),
-                                   expected, rtol=1e-12, atol=0.0)
+@pytest.mark.parametrize("k", range(len(cost_space_zoo())),
+                         ids=[f"{s.family}-p{s.p}-s{s.s}-{s.measure}"
+                              for s in cost_space_zoo()])
+def test_cost_matrix_matches_per_difference_norms(k):
+    # 16 columns take the cdist path for p = 2, 64 and 256 the Gram path
+    for dim in (16, COST_DIM, 256):
+        space = cost_space_zoo(dim)[k]
+        rng = np.random.default_rng(6)
+        mu = random_measure(rng, 7, dim=dim)
+        nu = random_measure(rng, 5, dim=dim)
+        for p in (1.0, 2.0):
+            expected = np.array([[spaces.norm_batch(space, (x - y)[None, :])[0] ** p
+                                  for y in nu.points] for x in mu.points])
+            np.testing.assert_allclose(transport.cost_matrix(mu, nu, space, p),
+                                       expected, rtol=1e-12, atol=0.0)
+
+
+def test_gram_path_redoes_near_duplicates_exactly():
+    # y = x + 1e-9 noise cancels about 60 bits in |x|^2 + |y|^2 - 2 x.y
+    rng = np.random.default_rng(11)
+    X = rng.standard_normal((8, 256))
+    Y = X + 1e-9 * rng.standard_normal((8, 256))
+    D = spaces.pairwise_norms(L2, X, Y)
+    np.testing.assert_array_equal(np.diag(D), spaces.norm_batch(L2, X - Y))
+    expected = np.array([spaces.norm_batch(L2, x - Y) for x in X])
+    np.testing.assert_allclose(D, expected, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("space", [L2, spaces.sobolev_space(1.0, 2.0, (16, 16))],
+                         ids=["L2", "W1,2"])
+def test_gram_path_is_homogeneous_at_extreme_scales(space):
+    rng = np.random.default_rng(12)
+    X = rng.standard_normal((6, 256))
+    Y = rng.standard_normal((5, 256))
+    base = spaces.pairwise_norms(space, X, Y)
+    for k in (-600, 600):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            D = spaces.pairwise_norms(space, 2.0 ** k * X, 2.0 ** k * Y)
+        assert np.isfinite(D).all()
+        np.testing.assert_allclose(D, 2.0 ** k * base, rtol=1e-12, atol=0.0)
 
 
 def test_pairwise_norms_rejects_wrong_signal_size():
@@ -244,6 +276,63 @@ def test_compositions_of_64_match_lp_cost(monkeypatch, space, dim):
         # HiGHS stops at its default feasibility tolerance, 1e-7.
         assert dist == pytest.approx(lp_cost, rel=1e-7)
         assert plan.marginal_error() <= 1e-12
+
+
+def unreduced_assignment_w1(C, a, b):
+    """W1 from linear_sum_assignment on the split, unreduced cost matrix."""
+    from scipy.optimize import linear_sum_assignment
+    big = np.repeat(np.repeat(C, a, axis=0), b, axis=1)
+    rows, cols = linear_sum_assignment(big)
+    return float(big[rows, cols].sum() / a.sum())
+
+
+def reduced_assignment_cases():
+    """Uniform and count-weighted pairs, with duplicated points, in L2."""
+    rng = np.random.default_rng(13)
+    for seed in range(10):
+        X = rng.standard_normal((64, 2))
+        Y = rng.standard_normal((64, 2)) + 0.5
+        yield X, Y, np.ones(64, int), np.ones(64, int)
+        # duplicated points: whole rows and columns of C tie exactly
+        X[32:], Y[40:] = X[:32], Y[:24]
+        yield X, Y, np.ones(64, int), np.ones(64, int)
+        X = rng.standard_normal((40, 2))
+        Y = rng.standard_normal((25, 2)) + 0.5
+        a, b = random_counts(rng, 40, 64), random_counts(rng, 25, 64)
+        yield X, Y, a, b
+        X[20:], Y[:5] = X[:20], Y[5:10]
+        yield X, Y, a, b
+
+
+def test_reduced_assignment_matches_unreduced_reference():
+    for X, Y, a, b in reduced_assignment_cases():
+        mu = transport.DiscreteMeasure(X, a / a.sum())
+        nu = transport.DiscreteMeasure(Y, b / b.sum())
+        dist, plan = transport.wasserstein_p_exact(mu, nu, L2, 1.0)
+        expected = unreduced_assignment_w1(transport.cost_matrix(mu, nu, L2), a, b)
+        assert dist == pytest.approx(expected, rel=1e-13, abs=0.0)
+        assert plan.marginal_error() <= 1e-12
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+def test_wasserstein_is_scale_equivariant(p):
+    # W_p(2^k mu, 2^k nu) = 2^k W_p(mu, nu) on the assignment and LP paths
+    rng = np.random.default_rng(14)
+    counts = random_counts(rng, 5, 8), random_counts(rng, 4, 8)
+    pairs = [(random_measure(rng, 5, dim=3), random_measure(rng, 4, dim=3)),
+             (transport.DiscreteMeasure(rng.standard_normal((5, 3)), counts[0] / 8),
+              transport.DiscreteMeasure(rng.standard_normal((4, 3)), counts[1] / 8))]
+    for space in (L2, spaces.lp_space(3.0)):
+        for mu, nu in pairs:
+            base, _ = transport.wasserstein_p_exact(mu, nu, space, p)
+            for k in (-600, 0, 600):
+                scaled = [transport.DiscreteMeasure(2.0 ** k * m.points, m.weights)
+                          for m in (mu, nu)]
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    dist, plan = transport.wasserstein_p_exact(*scaled, space, p)
+                assert dist == pytest.approx(2.0 ** k * base, rel=1e-12, abs=0.0)
+                assert plan.marginal_error() <= transport.MARGINAL_TOL
 
 
 def test_uniform_pairs_solved_by_assignment(monkeypatch):
