@@ -53,10 +53,6 @@ class Node:
         """Cotangent for parent ``index``; None when it is identically zero."""
         raise NotImplementedError
 
-    def __mul__(self, other):
-        # spaces._norm scales numpy rows and graph nodes with the same ``*``
-        return mul(self, wrap(other))
-
     def __repr__(self):
         return f"<{type(self).__name__}#{self.id} shape={self.shape}>"
 

@@ -256,8 +256,8 @@ def _norm(space: SpaceSpec, x, ops, dual: bool):
     Each family is written once.  The dual of a weighted space divides by
     the weight, the dual of a product combines the factor duals with the
     conjugate exponent, the dual of W^{s,p} applies the order -s multiplier
-    before the L^q norm, and a normalized measure scales the leaf norm by
-    n^(-1/p), or its dual by n^(1/p).  ``ops`` says what an operand is.
+    before the L^q norm, and a normalized measure scales the leaf operand
+    by n^(-1/p), its dual by n^(1/p).  ``ops`` says what an operand is.
     """
     if space.family == "weighted":
         return _norm(space.base, ops.scale(x, space.weight, dual), ops, dual)
@@ -267,10 +267,9 @@ def _norm(space: SpaceSpec, x, ops, dual: bool):
                           for sub, cols in _factor_columns(space)], p)
     if space.family == "sobolev":
         x = ops.fourier(x, space, -space.s if dual else space.s)
-    vals = ops.lp(x, p)
     if space.measure == "normalized":
-        vals = vals * ops.width(x) ** ((1.0 if dual else -1.0) / space.p)
-    return vals
+        x = ops.scale(x, ops.width(x) ** ((1.0 if dual else -1.0) / space.p), False)
+    return ops.lp(x, p)
 
 
 def _factor_columns(space: SpaceSpec):
@@ -443,33 +442,6 @@ def dual_norm(space: SpaceSpec, g) -> float:
     """Dual norm of one element of B*."""
     g = np.asarray(g, dtype=np.float64)
     return float(dual_norm_batch(space, g.reshape(1, -1))[0])
-
-
-def dual_space(space: SpaceSpec) -> SpaceSpec:
-    """A SpaceSpec whose norm is the dual norm of ``space``.
-
-    Used for double-dual consistency checks; normalized-measure duals are
-    expressed as a scalar-weighted normalized space.
-    """
-    q = dual_exponent(space.p)
-    if space.family in ("lp", "sobolev"):
-        if space.family == "lp":
-            base = lp_space(q)
-        else:
-            base = sobolev_space(-space.s, q, space.signal_shape,
-                                 space.frequency_scale)
-        if space.measure == "counting":
-            return base
-        base.measure = "normalized"
-        n = space.size
-        if n is None:
-            raise SpaceError("normalized lp dual space needs a fixed size; "
-                             "use dual_norm directly")
-        return weighted_space(base, np.full(n, float(n)))
-    if space.family == "weighted":
-        return weighted_space(dual_space(space.base), 1.0 / space.weight)
-    return SpaceSpec("product", p=q,
-                     factors=tuple((dual_space(sub), sz) for sub, sz in space.factors))
 
 
 def dual_norm_maximizer(space: SpaceSpec, g) -> np.ndarray:

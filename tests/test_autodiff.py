@@ -250,6 +250,40 @@ def test_unsupported_broadcast_rejected():
             op(a, b)
 
 
+SHAPE_ERRORS = {
+    "matmul": (lambda a: ad.matmul(a, a), r"^matmul: incompatible shapes \(2, 3\) @ \(2, 3\)$"),
+    "transpose": (lambda a: ad.transpose(ad.sum_rows(a)), r"^transpose: need 2-D, got \(2,\)$"),
+    "reshape": (lambda a: ad.reshape(a, (4,)), r"^reshape: \(2, 3\) -> \(4,\) changes size$"),
+    "sum": (lambda a: ad.sum_rows(ad.sum_rows(a)), r"^sum over axis 1: need 2-D, got \(2,\)$"),
+    "broadcast": (lambda a: ad.Broadcast(ad.sum_rows(a), (2, 3), 0),
+                  r"^broadcast over axis 0: cannot copy \(2,\) to \(2, 3\)$"),
+    "slice_cols": (lambda a: ad.slice_cols(a, 2, 4), r"^slice_cols: bad slice \[2:4\) of \(2, 3\)$"),
+    "pad_cols": (lambda a: ad.pad_cols(ad.sum_rows(a), 1, 1), r"^pad_cols: need 2-D, got \(2,\)$"),
+}
+
+
+@pytest.mark.parametrize("build, message", SHAPE_ERRORS.values(), ids=SHAPE_ERRORS.keys())
+def test_node_constructor_rejects_bad_shapes(build, message):
+    with pytest.raises(ad.ShapeError, match=message):
+        build(ad.Input((2, 3), name="a"))
+
+
+def test_evaluate_without_a_bound_input_raises():
+    x = ad.Input((2,), name="x")
+    y = ad.Input((2,), name="unbound")
+    with pytest.raises(ad.GraphError, match=r"^no value bound for <Input#\d+ 'unbound' "):
+        ad.evaluate(ad.add(x, y), {x: np.zeros(2)})
+
+
+def test_gradient_of_a_scalar_broadcast_against_a_matrix_sums_the_matrix():
+    X = np.arange(6.0).reshape(2, 3) - 1.5
+    x = ad.Input((2, 3), name="x")
+    s = ad.Input((), name="s")
+    gnode = ad.grad(ad.sum_all(ad.mul(x, s)), s)
+    assert gnode.shape == ()
+    assert float(ad.evaluate(gnode, {x: X, s: np.asarray(0.7)})) == X.sum()
+
+
 def fft_reference(x, spatial_shape, s, frequency_scale):
     """F^-1 [(1 + |xi|^2)^(s/2) F x] by complex FFTs over the trailing one
     or two axes of signals in the layout ``spatial_shape``."""

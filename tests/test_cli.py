@@ -1,6 +1,11 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -81,7 +86,10 @@ def test_norm_command_bad_shape(tmp_path, capsys):
     (["--s", "1", "--frequency-scale", "1e200"], 64, "overflows"),
     (["--s", "400", "--shape", "8x8"], 64, "overflows"),
     (["--shape", "64x64"], 4096, "1024"),
-], ids=["huge-s", "huge-frequency-scale", "s-400", "above-operator-cap"])
+    (["--s", "inf"], 64, "s must be finite, got inf"),
+    (["--frequency-scale", "0"], 64, "frequency_scale must be positive and finite, got 0.0"),
+], ids=["huge-s", "huge-frequency-scale", "s-400", "above-operator-cap", "s-inf",
+        "frequency-scale-0"])
 def test_norm_command_unusable_sobolev_space_exits_2(tmp_path, capsys, flags, size,
                                                      reason):
     path = write_signal(tmp_path, np.ones(size))
@@ -336,6 +344,22 @@ def test_wasserstein_infinite_distance_exits_2(tmp_path, capsys):
     assert "overflows" in err
 
 
+@pytest.mark.parametrize("result, message", [
+    (dict(success=False, message="Iteration limit reached.", x=None),
+     "LP solver failed: Iteration limit reached."),
+    (dict(success=True, message="", x=np.zeros(2)),
+     "marginal violation 1.000e+00 above tolerance"),
+], ids=["lp-reports-failure", "plan-breaks-marginals"])
+def test_wasserstein_failed_lp_exits_2(tmp_path, capsys, monkeypatch, result, message):
+    # 1/67 is k/N for no N <= MAX_SUPPORT, so this pair goes to the LP
+    a = write_measure(tmp_path, [[1 / 67, 0.0], [66 / 67, 1.0]], "a.txt")
+    b = write_measure(tmp_path, [[1.0, 0.0]], "b.txt")
+    monkeypatch.setattr(transport, "linprog", lambda c, **kwargs: SimpleNamespace(**result))
+    assert cli.main(["wasserstein", a, b]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n"
+
+
 def test_check_dual_critic_of_other_dimension_exits_2(tmp_path, capsys):
     ckpt = save_critic(tmp_path, in_dim=3)
     mu = write_measure(tmp_path, [[0.5, 0.0, 0.0], [0.5, 1.0, 1.0]], "mu.txt")
@@ -453,6 +477,21 @@ def test_argparse_errors_exit_2_with_one_line(capsys, argv):
     assert captured.out == ""
     assert captured.err.startswith("bwgan") and ": error: " in captured.err
     assert len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("name, code, out", [
+    ("signal.txt", cli.EXIT_OK, "norm=5 dual=5\n"),
+    ("missing.txt", cli.EXIT_USAGE, ""),
+], ids=["valid-file", "missing-file"])
+def test_module_entry_point_returns_mains_exit_code(tmp_path, name, code, out):
+    write_signal(tmp_path, [3.0, -4.0])
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    result = subprocess.run([sys.executable, "-m", "bwgan.cli", "norm", str(tmp_path / name)],
+                            env=env, capture_output=True, text=True, timeout=120)
+    assert (result.returncode, result.stdout) == (code, out)
+    assert len(result.stderr.splitlines()) == (0 if code == cli.EXIT_OK else 1)
 
 
 def test_verify_rejects_negative_seed(capsys):

@@ -1,7 +1,8 @@
 import numpy as np
+import pytest
 
 from bwgan import autodiff as ad
-from bwgan.nets import Critic, GraphCritic
+from bwgan.nets import MLP, Critic, GraphCritic
 
 
 def independent(critic, X):
@@ -121,6 +122,30 @@ def test_rebinding_after_set_params_uses_new_values():
     assert np.array_equal(gradient, want_gradient)
     assert not np.array_equal(value, old[0])
     assert not np.array_equal(gradient, old[1])
+
+
+def test_unknown_activation_is_rejected():
+    with pytest.raises(ValueError, match=r"^unknown activation 'elu'$"):
+        MLP(2, (3,), 1, activation="elu")
+
+
+@pytest.mark.parametrize("values, error, message", [
+    ({"critic.w9": np.zeros((2, 5))}, KeyError, r"^'unknown parameter critic\.w9'$"),
+    ({"critic.w0": np.zeros((5, 2))}, ValueError, r"^shape mismatch for parameter critic\.w0$"),
+], ids=["unknown-key", "wrong-shape"])
+def test_set_params_rejects_unknown_keys_and_wrong_shapes(values, error, message):
+    critic = Critic(2, (5,), "tanh", rng=np.random.default_rng(42))
+    before = {k: v.copy() for k, v in critic.mlp.params.items()}
+    with pytest.raises(error, match=message):
+        critic.mlp.set_params(values)
+    assert all(np.array_equal(critic.mlp.params[k], v) for k, v in before.items())
+
+
+def test_graph_critic_rejects_scores_that_are_not_one_per_row():
+    critic = GraphCritic(3, lambda x: x)
+    with pytest.raises(ad.ShapeError,
+                       match=r"^critic scores must have shape \(2,\), got \(2, 3\)$"):
+        critic.value_batch(np.zeros((2, 3)))
 
 
 def test_adam_keeps_updating_the_network_after_set_params():

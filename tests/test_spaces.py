@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from bwgan import autodiff as ad
 from bwgan import spaces
+from dual_spaces import dual_space
 
 
 NAN, INF = float("nan"), float("inf")
@@ -78,6 +79,18 @@ def test_sobolev_rejects_overflowing_multiplier(s, frequency_scale):
         spaces.sobolev_space(s, 2.0, (8, 8), frequency_scale)
 
 
+@pytest.mark.parametrize("s, frequency_scale, message", [
+    (INF, 5.0, r"^s must be finite, got inf$"),
+    (-INF, 5.0, r"^s must be finite, got -inf$"),
+    (NAN, 5.0, r"^s must be finite, got nan$"),
+    (1.0, 0.0, r"^frequency_scale must be positive and finite, got 0\.0$"),
+    (1.0, INF, r"^frequency_scale must be positive and finite, got inf$"),
+], ids=["s-inf", "s-minus-inf", "s-nan", "frequency-scale-0", "frequency-scale-inf"])
+def test_sobolev_rejects_non_finite_order_and_bad_frequency_scale(s, frequency_scale, message):
+    with pytest.raises(spaces.SpaceError, match=message):
+        spaces.sobolev_space(s, 2.0, (8, 8), frequency_scale)
+
+
 def test_weighted_rejects_zero_weight():
     with pytest.raises(spaces.SpaceError):
         spaces.weighted_space(spaces.lp_space(2.0), np.array([1.0, 0.0, 2.0]))
@@ -104,6 +117,16 @@ def test_weighted_rejects_what_it_cannot_evaluate(weight, p):
 def test_product_rejects_factor_sizes_it_cannot_evaluate(factor):
     with pytest.raises(spaces.SpaceError, match="size"):
         spaces.product_space([(spaces.lp_space(3.0), 4), factor])
+
+
+@pytest.mark.parametrize("fields, message", [
+    (dict(family="weighted", weight=np.ones(3)), r"^weighted space needs base and weight$"),
+    (dict(family="weighted", base=spaces.lp_space(2.0)), r"^weighted space needs base and weight$"),
+    (dict(family="product"), r"^product space needs at least one factor$"),
+], ids=["weighted-without-base", "weighted-without-weight", "product-without-factors"])
+def test_rejects_weighted_and_product_spaces_missing_their_parts(fields, message):
+    with pytest.raises(spaces.SpaceError, match=message):
+        spaces.SpaceSpec(**fields)
 
 
 def test_size_property():
@@ -143,7 +166,7 @@ def test_lp_norm_rescales_rows_whose_power_sum_overflows_or_underflows(p):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         norms = spaces.norm_batch(space, rows)
-        duals = spaces.dual_norm_batch(spaces.dual_space(space), rows)
+        duals = spaces.dual_norm_batch(dual_space(space), rows)
     scale = 2.0 ** (1.0 / p)
     assert norms[0] == pytest.approx(scale * 1e300, rel=1e-14)
     assert norms[1] == pytest.approx(scale * 1e-300, rel=1e-14)
@@ -326,7 +349,7 @@ def dualizable_zoo(dim=16):
 @pytest.mark.parametrize("space", dualizable_zoo(), ids=lambda s: f"{s.family}-p{s.p}")
 def test_double_dual_consistency(space):
     rng = np.random.default_rng(14)
-    dd = spaces.dual_space(spaces.dual_space(space))
+    dd = dual_space(dual_space(space))
     for _ in range(10):
         x = rng.standard_normal(16)
         assert spaces.norm(dd, x) == pytest.approx(spaces.norm(space, x), rel=1e-8)
@@ -335,7 +358,7 @@ def test_double_dual_consistency(space):
 def test_dual_space_norm_matches_dual_norm():
     rng = np.random.default_rng(15)
     for space in dualizable_zoo():
-        ds = spaces.dual_space(space)
+        ds = dual_space(space)
         for _ in range(10):
             g = rng.standard_normal(16)
             assert spaces.norm(ds, g) == pytest.approx(

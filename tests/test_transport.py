@@ -1,4 +1,5 @@
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -59,6 +60,12 @@ def test_measure_rejects_non_finite_entries(points, weights):
 def test_measure_flattens_points():
     m = transport.DiscreteMeasure(np.zeros((2, 4, 4)), [0.5, 0.5])
     assert m.points.shape == (2, 16)
+
+
+def test_measure_makes_one_dimensional_points_a_column():
+    m = transport.DiscreteMeasure([0.0, 1.0, 3.0], [0.25, 0.25, 0.5])
+    assert m.points.shape == (3, 1)
+    np.testing.assert_array_equal(m.points[:, 0], [0.0, 1.0, 3.0])
 
 
 def test_trimmed_drops_zero_weights():
@@ -379,6 +386,27 @@ def test_split_atom_takes_lp_and_keeps_distance(monkeypatch):
     monkeypatch.setattr(transport, "linprog", counting_linprog)
     assert transport.wasserstein_1(split, nu, L2) == pytest.approx(uniform, rel=1e-7)
     assert lp_calls == [1]
+
+
+# an LP result that reports failure, and one whose plan breaks the marginals
+FAILED_LPS = {
+    "lp-reports-failure": (lambda c, **kwargs: SimpleNamespace(
+        success=False, message="Iteration limit reached.", x=None),
+        r"^LP solver failed: Iteration limit reached\.$"),
+    "plan-breaks-marginals": (lambda c, **kwargs: SimpleNamespace(
+        success=True, message="", x=np.zeros(len(c))),
+        r"^marginal violation 1\.000e\+00 above tolerance$"),
+}
+
+
+@pytest.mark.parametrize("linprog, message", FAILED_LPS.values(), ids=FAILED_LPS.keys())
+def test_failed_lp_raises_transport_error(monkeypatch, linprog, message):
+    # 1/67 is k/N for no N <= MAX_SUPPORT, so this pair goes to the LP
+    mu = transport.DiscreteMeasure([[0.0], [1.0]], [1 / 67, 66 / 67])
+    nu = transport.DiscreteMeasure([[0.0]], [1.0])
+    monkeypatch.setattr(transport, "linprog", linprog)
+    with pytest.raises(transport.TransportError, match=message):
+        transport.wasserstein_1(mu, nu, L2)
 
 
 # ---------------------------------------------------------------------------
