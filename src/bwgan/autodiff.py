@@ -12,7 +12,8 @@ each intermediate value after its last use.
 Supported broadcasting is deliberately narrow: equal shapes, scalar with
 anything, and a (n,) row vector against an (m, n) matrix (bias addition).
 The engine uses numpy alone.  Linear operators such as the Sobolev
-multipliers of ``spaces`` are ``MatMul`` nodes against constant matrices.
+multipliers of ``spaces`` are ``MatMul`` nodes against constant matrices,
+and so is the column selection of a product space: a 0/1 matrix.
 """
 
 from __future__ import annotations
@@ -365,43 +366,6 @@ class Broadcast(Node):
         return Sum(g, self.axis)
 
 
-class SliceCols(Node):
-    """Columns [start, stop) of an (m, n) matrix."""
-
-    __slots__ = ("start", "stop")
-
-    def __init__(self, a, start, stop):
-        if len(a.shape) != 2 or not (0 <= start < stop <= a.shape[1]):
-            raise ShapeError(f"slice_cols: bad slice [{start}:{stop}) of {a.shape}")
-        super().__init__((a.shape[0], stop - start), (a,))
-        self.start, self.stop = int(start), int(stop)
-
-    def compute(self, a):
-        return a[:, self.start:self.stop]
-
-    def vjp(self, g, index):
-        n = self.parents[0].shape[1]
-        return pad_cols(g, self.start, n - self.stop)
-
-
-class PadCols(Node):
-    """Zero-pad columns on the left/right of an (m, n) matrix."""
-
-    __slots__ = ("before", "after")
-
-    def __init__(self, a, before, after):
-        if len(a.shape) != 2:
-            raise ShapeError(f"pad_cols: need 2-D, got {a.shape}")
-        super().__init__((a.shape[0], a.shape[1] + before + after), (a,))
-        self.before, self.after = int(before), int(after)
-
-    def compute(self, a):
-        return np.pad(a, ((0, 0), (self.before, self.after)))
-
-    def vjp(self, g, index):
-        return slice_cols(g, self.before, self.before + self.parents[0].shape[1])
-
-
 # ---------------------------------------------------------------------------
 # Functional API
 # ---------------------------------------------------------------------------
@@ -474,14 +438,6 @@ def sum_cols(a):
 def sum_rows(a):
     """Row sums of an (m, n) matrix: the sum over axis 1, shape (m,)."""
     return Sum(wrap(a), 1)
-
-
-def slice_cols(a, start, stop):
-    return SliceCols(wrap(a), start, stop)
-
-
-def pad_cols(a, before, after):
-    return PadCols(wrap(a), before, after)
 
 
 def mean_all(a):

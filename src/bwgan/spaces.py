@@ -8,9 +8,10 @@ maximizer of the duality quotient, which serves as an independent check of
 the dual norm formulas.  A Sobolev multiplier is applied as one matmul
 against its cached real symmetric n x n matrix (``sobolev_operator``), so
 the transformed axes of a Sobolev space may hold at most
-``MAX_OPERATOR_SIZE`` entries.  Only pairwise L^2 distances between rows
-narrower than ``_GRAM_MIN_COLUMNS`` (``scipy.spatial``) load a scipy
-module, on first use; wider rows take one Gram matmul.
+``MAX_OPERATOR_SIZE`` entries; a graph norm selects a product factor's
+columns by a matmul against a 0/1 matrix.  Only pairwise L^2 distances
+between rows narrower than ``_GRAM_MIN_COLUMNS`` (``scipy.spatial``) load
+a scipy module, on first use; wider rows take one Gram matmul.
 
 Two discretization measures are available.  ``counting`` treats every
 entry with weight 1; ``normalized`` averages (weight 1/N).  The primal
@@ -367,7 +368,8 @@ class _Graph:
         return ad.mul(x, ad.Constant(1.0 / w if invert else w))
 
     def cols(self, x, cols):
-        return ad.slice_cols(x, cols.start, cols.stop)
+        S = np.eye(x.shape[1], cols.stop - cols.start, -cols.start)
+        return ad.matmul(x, ad.Constant(S))
 
     def fourier(self, x, space, s):
         K = sobolev_operator(space.signal_shape, float(s), float(space.frequency_scale))

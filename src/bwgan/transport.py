@@ -14,10 +14,12 @@ linear program over the coupling polytope (HiGHS dual simplex, sparse
 marginal constraints).  Both paths solve on the distances divided by a
 power of two above the largest, raised to the power p, and scale the
 value back by W_p(a mu, a nu) = a W_p(mu, nu): no cost overflows, the LP
-sees costs of at most 1, and for p = 1 the division is exact.  Supports
-are capped at 64 points per measure so each solve stays sub-second at desk
-scale.  The scipy solvers are imported at the first solve that needs them,
-the LP through the module-level ``linprog``.
+sees costs of at most 1, and for p = 1 the division is exact.  A plan
+whose scaled costs sum below 2^-900 is valued instead as the L^p norm of
+the P_ij^(1/p) D_ij, which rescales exactly.  Supports are capped at 64
+points per measure so each solve stays sub-second at desk scale.  The
+scipy solvers are imported at the first solve that needs them, the LP
+through the module-level ``linprog``.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spaces import SpaceSpec, pairwise_norms
+from .spaces import SpaceSpec, lp_space, norm, pairwise_norms
 
 MAX_SUPPORT = 64
 MARGINAL_TOL = 1e-9
@@ -196,7 +198,9 @@ def wasserstein_p_exact(mu: DiscreteMeasure, nu: DiscreteMeasure,
         raise TransportError(
             f"marginal violation {plan.marginal_error():.3e} above tolerance")
     cost = float(np.sum(plan.matrix * C))
-    return scale * max(cost, 0.0) ** (1.0 / p), plan
+    if cost >= 2.0 ** -900:
+        return scale * cost ** (1.0 / p), plan
+    return norm(lp_space(p), np.maximum(plan.matrix, 0.0) ** (1.0 / p) * D), plan
 
 
 def wasserstein_1(mu: DiscreteMeasure, nu: DiscreteMeasure,

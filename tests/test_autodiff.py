@@ -168,7 +168,9 @@ OP_CASES = [
     ("mean", lambda x: ad.mul(ad.mean_all(x), ad.mean_all(x)), (6,), None),
     ("sum_rows", lambda x: ad.sum_all(ad.abs_pow(ad.sum_rows(x), 2.0)), (3, 4), None),
     ("sum_cols", lambda x: ad.sum_all(ad.abs_pow(ad.sum_cols(x), 2.0)), (3, 4), None),
-    ("slice_pad", lambda x: ad.sum_all(ad.mul(ad.slice_cols(x, 1, 3), ad.slice_cols(x, 1, 3))), (2, 4), None),
+    # a product space selects each factor's columns by a matmul
+    ("product", lambda x: ad.sum_all(ad.abs_pow(spaces.norm_rows(spaces.product_space(
+        [(spaces.lp_space(1.5), 1), (spaces.lp_space(4.0), 3)], p=3.0), x), 2.0)), (3, 4), "offset"),
     ("fourier", lambda x: ad.sum_all(ad.abs_pow(spaces.norm_rows(spaces.sobolev_space(1.5, 2.0, (2, 2, 2)), x), 2.0)), (3, 8), None),
 ]
 
@@ -197,7 +199,10 @@ SECOND_ORDER_CASES = [
     ("sum_all", lambda x: ad.tanh(ad.sum_all(x))),
     ("sum_rows", lambda x: ad.sum_all(ad.tanh(ad.sum_rows(x)))),
     ("sum_cols", lambda x: ad.sum_all(ad.tanh(ad.sum_cols(x)))),
-    ("slice_cols", lambda x: ad.sum_all(ad.tanh(ad.slice_cols(x, 1, 3)))),
+    # a product space selects each factor's columns by a matmul; its dual
+    # factors, L^2 and L^4, are smooth enough for central differences here
+    ("product", lambda x: ad.sum_all(ad.tanh(spaces.dual_norm_rows(spaces.product_space(
+        [(spaces.lp_space(2.0), 2), (spaces.lp_space(4.0 / 3.0), 2)], p=1.5), x)))),
 ]
 
 
@@ -257,8 +262,6 @@ SHAPE_ERRORS = {
     "sum": (lambda a: ad.sum_rows(ad.sum_rows(a)), r"^sum over axis 1: need 2-D, got \(2,\)$"),
     "broadcast": (lambda a: ad.Broadcast(ad.sum_rows(a), (2, 3), 0),
                   r"^broadcast over axis 0: cannot copy \(2,\) to \(2, 3\)$"),
-    "slice_cols": (lambda a: ad.slice_cols(a, 2, 4), r"^slice_cols: bad slice \[2:4\) of \(2, 3\)$"),
-    "pad_cols": (lambda a: ad.pad_cols(ad.sum_rows(a), 1, 1), r"^pad_cols: need 2-D, got \(2,\)$"),
 }
 
 

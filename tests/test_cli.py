@@ -310,6 +310,16 @@ def test_wasserstein_cost_overflow_scales_to_finite(tmp_path, capsys):
         1e160 * unscaled, rel=1e-12, abs=0.0)
 
 
+def test_wasserstein_cost_underflow_keeps_its_value(tmp_path, capsys):
+    # the cost (1e-110 / 16)^3 underflows after the distances are scaled
+    a = write_measure(tmp_path, [[0.5, 0.0], [0.5, 10.0]], "a.txt")
+    b = write_measure(tmp_path, [[0.5, 1e-110], [0.5, 10.0]], "b.txt")
+    assert cli.main(["wasserstein", a, b, "--wp", "3"]) == cli.EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.strip() == "w3=7.93700525984e-111"
+
+
 def test_wasserstein_of_huge_general_weights_is_finite(tmp_path, capsys):
     # general (Dirichlet) weights go to the LP, which failed on costs near
     # 1e160 before the distances were scaled

@@ -342,6 +342,19 @@ def test_wasserstein_is_scale_equivariant(p):
                 assert plan.marginal_error() <= transport.MARGINAL_TOL
 
 
+def test_wasserstein_keeps_costs_that_underflow_at_the_power():
+    # (1e-110 / 16)^3 underflows to 0 after the division by the largest
+    # distance; the value is then the L^3 norm of P^(1/3) D
+    mu = transport.DiscreteMeasure(np.array([[0.0], [10.0]]), np.array([0.5, 0.5]))
+    nu = transport.DiscreteMeasure(np.array([[1e-110], [10.0]]), np.array([0.5, 0.5]))
+    dist, _ = transport.wasserstein_p_exact(mu, nu, L2, 3.0)
+    assert dist == pytest.approx(7.937005259840999e-111, rel=1e-15, abs=0.0)
+    point, tiny = (transport.DiscreteMeasure(np.array([[v]]), np.array([1.0]))
+                   for v in (0.0, 1e-110))
+    assert transport.wasserstein_p_exact(point, tiny, L2, 3.0)[0] == 1e-110
+    assert transport.wasserstein_p_exact(mu, mu, L2, 3.0)[0] == 0.0
+
+
 def test_uniform_pairs_solved_by_assignment(monkeypatch):
     def no_lp(*args, **kwargs):
         raise AssertionError("uniform pair reached the LP")
