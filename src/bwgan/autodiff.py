@@ -1,6 +1,8 @@
 """Reverse-mode automatic differentiation with graph-valued gradients.
 
-Graphs are built from immutable nodes over dense float64 tensors.  The key
+Graphs are built by calling the node classes, such as ``Mul(x, 2.0)``,
+whose constructors lift number and array operands to ``Constant`` nodes.
+Nodes are immutable and hold dense float64 tensors.  The key
 design choice is that ``grad`` returns new graph *nodes*, not detached
 numbers, so a gradient expression can itself be differentiated again
 (double backpropagation).  A ``Program`` compiles a graph with fixed roots
@@ -100,6 +102,7 @@ class _Elementwise(Node):
     __slots__ = ()
 
     def __init__(self, a):
+        a = wrap(a)
         super().__init__(a.shape, (a,))
 
 
@@ -110,6 +113,7 @@ class _Broadcasting(Node):
     __slots__ = ()
 
     def __init__(self, a, b):
+        a, b = wrap(a), wrap(b)
         sa, sb = a.shape, b.shape
         if sa == sb or sb == () or (len(sa) == 2 and sb == (sa[1],)):
             shape = sa
@@ -126,9 +130,9 @@ def _unbroadcast(g: Node, shape) -> Node:
     if g.shape == tuple(shape):
         return g
     if shape == ():
-        return sum_all(g)
+        return Sum(g)
     if len(g.shape) == 2 and tuple(shape) == (g.shape[1],):
-        return sum_cols(g)
+        return Sum(g, 0)
     raise ShapeError(f"cannot reduce cotangent {g.shape} to {shape}")
 
 
@@ -151,7 +155,7 @@ class Sub(_Broadcasting):
     def vjp(self, g, index):
         if index == 0:
             return _unbroadcast(g, self.parents[0].shape)
-        return _unbroadcast(neg(g), self.parents[1].shape)
+        return _unbroadcast(Neg(g), self.parents[1].shape)
 
 
 class Mul(_Broadcasting):
@@ -160,7 +164,7 @@ class Mul(_Broadcasting):
 
     def vjp(self, g, index):
         other = self.parents[1 - index]
-        return _unbroadcast(mul(g, other), self.parents[index].shape)
+        return _unbroadcast(Mul(g, other), self.parents[index].shape)
 
 
 class Neg(_Elementwise):
@@ -168,7 +172,7 @@ class Neg(_Elementwise):
         return -a
 
     def vjp(self, g, index):
-        return neg(g)
+        return Neg(g)
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +181,7 @@ class Neg(_Elementwise):
 
 class MatMul(Node):
     def __init__(self, a, b):
+        a, b = wrap(a), wrap(b)
         if len(a.shape) != 2 or len(b.shape) != 2 or a.shape[1] != b.shape[0]:
             raise ShapeError(f"matmul: incompatible shapes {a.shape} @ {b.shape}")
         super().__init__((a.shape[0], b.shape[1]), (a, b))
@@ -191,12 +196,13 @@ class MatMul(Node):
     def vjp(self, g, index):
         a, b = self.parents
         if index == 0:
-            return matmul(g, transpose(b))
-        return matmul(transpose(a), g)
+            return MatMul(g, Transpose(b))
+        return MatMul(Transpose(a), g)
 
 
 class Transpose(Node):
     def __init__(self, a):
+        a = wrap(a)
         if len(a.shape) != 2:
             raise ShapeError(f"transpose: need 2-D, got {a.shape}")
         super().__init__((a.shape[1], a.shape[0]), (a,))
@@ -205,11 +211,12 @@ class Transpose(Node):
         return a.T
 
     def vjp(self, g, index):
-        return transpose(g)
+        return Transpose(g)
 
 
 class Reshape(Node):
     def __init__(self, a, shape):
+        a = wrap(a)
         shape = tuple(int(d) for d in shape)
         if int(np.prod(shape)) != int(np.prod(a.shape)):
             raise ShapeError(f"reshape: {a.shape} -> {shape} changes size")
@@ -219,7 +226,7 @@ class Reshape(Node):
         return a.reshape(self.shape)
 
     def vjp(self, g, index):
-        return reshape(g, self.parents[0].shape)
+        return Reshape(g, self.parents[0].shape)
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +238,7 @@ class Tanh(_Elementwise):
         return np.tanh(a)
 
     def vjp(self, g, index):
-        return mul(g, sub(1.0, mul(self, self)))
+        return Mul(g, Sub(1.0, Mul(self, self)))
 
 
 class Softplus(_Elementwise):
@@ -239,7 +246,7 @@ class Softplus(_Elementwise):
         return np.logaddexp(0.0, a)
 
     def vjp(self, g, index):
-        return mul(g, sigmoid(self.parents[0]))
+        return Mul(g, Sigmoid(self.parents[0]))
 
 
 class Sigmoid(_Elementwise):
@@ -252,7 +259,7 @@ class Sigmoid(_Elementwise):
         return out
 
     def vjp(self, g, index):
-        return mul(g, mul(self, sub(1.0, self)))
+        return Mul(g, Mul(self, Sub(1.0, self)))
 
 
 class Relu(_Elementwise):
@@ -260,7 +267,7 @@ class Relu(_Elementwise):
         return np.maximum(a, 0.0)
 
     def vjp(self, g, index):
-        return mul(g, step(self.parents[0]))
+        return Mul(g, Step(self.parents[0]))
 
 
 class Step(_Elementwise):
@@ -302,7 +309,7 @@ class AbsPow(_Elementwise):
 
     def vjp(self, g, index):
         x = self.parents[0]
-        return mul(g, mul(self.exponent, signed_abs_pow(x, self.exponent - 1.0)))
+        return Mul(g, Mul(self.exponent, SignedAbsPow(x, self.exponent - 1.0)))
 
 
 class SignedAbsPow(AbsPow):
@@ -313,7 +320,7 @@ class SignedAbsPow(AbsPow):
 
     def vjp(self, g, index):
         x = self.parents[0]
-        return mul(g, mul(self.exponent, abs_pow(x, self.exponent - 1.0)))
+        return Mul(g, Mul(self.exponent, AbsPow(x, self.exponent - 1.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +334,7 @@ class Sum(Node):
     __slots__ = ("axis",)
 
     def __init__(self, a, axis=None):
+        a = wrap(a)
         if axis is None:
             shape = ()
         elif len(a.shape) != 2:
@@ -367,88 +375,18 @@ class Broadcast(Node):
 
 
 # ---------------------------------------------------------------------------
-# Functional API
+# Composite builders: more than one node each
 # ---------------------------------------------------------------------------
-
-def add(a, b):
-    return Add(wrap(a), wrap(b))
-
-
-def sub(a, b):
-    return Sub(wrap(a), wrap(b))
-
-
-def mul(a, b):
-    return Mul(wrap(a), wrap(b))
-
-
-def neg(a):
-    return Neg(wrap(a))
-
-
-def matmul(a, b):
-    return MatMul(wrap(a), wrap(b))
-
-
-def transpose(a):
-    return Transpose(wrap(a))
-
-
-def reshape(a, shape):
-    return Reshape(wrap(a), shape)
-
-
-def tanh(a):
-    return Tanh(wrap(a))
-
-
-def softplus(a):
-    return Softplus(wrap(a))
-
-
-def sigmoid(a):
-    return Sigmoid(wrap(a))
-
-
-def relu(a):
-    return Relu(wrap(a))
-
-
-def step(a):
-    return Step(wrap(a))
-
-
-def abs_pow(a, exponent):
-    return AbsPow(wrap(a), exponent)
-
-
-def signed_abs_pow(a, exponent):
-    return SignedAbsPow(wrap(a), exponent)
-
-
-def sum_all(a):
-    return Sum(wrap(a))
-
-
-def sum_cols(a):
-    """Column sums of an (m, n) matrix: the sum over axis 0, shape (n,)."""
-    return Sum(wrap(a), 0)
-
-
-def sum_rows(a):
-    """Row sums of an (m, n) matrix: the sum over axis 1, shape (m,)."""
-    return Sum(wrap(a), 1)
-
 
 def mean_all(a):
     a = wrap(a)
     n = int(np.prod(a.shape)) if a.shape else 1
-    return mul(sum_all(a), Constant(1.0 / n))
+    return Mul(Sum(a), Constant(1.0 / n))
 
 
 def affine(x, w, b):
     """x @ w + b with the bias broadcast over rows."""
-    return add(matmul(x, w), b)
+    return Add(MatMul(x, w), b)
 
 
 # ---------------------------------------------------------------------------
@@ -611,7 +549,7 @@ def grad(output: Node, wrt):
             if contrib is None:
                 continue
             prev = adjoint.get(p)
-            adjoint[p] = contrib if prev is None else add(prev, contrib)
+            adjoint[p] = contrib if prev is None else Add(prev, contrib)
 
     results = [adjoint.get(t, Constant(np.zeros(t.shape))) for t in targets]
     return results[0] if single else results

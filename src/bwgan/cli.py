@@ -504,6 +504,10 @@ def main(argv=None) -> int:
             TransportError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError as exc:
+        # a bare MemoryError() has an empty message
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 
-ACTIVATIONS = {"relu": ad.relu, "tanh": ad.tanh, "softplus": ad.softplus}
+ACTIVATIONS = {"relu": ad.Relu, "tanh": ad.Tanh, "softplus": ad.Softplus}
 
 
 @cache
@@ -126,7 +126,7 @@ class GraphCritic:
             if scores.shape != (batch,):
                 raise ad.ShapeError(
                     f"critic scores must have shape ({batch},), got {scores.shape}")
-            return scores if kind == "value" else ad.grad(ad.sum_all(scores), x)
+            return scores if kind == "value" else ad.grad(ad.Sum(scores), x)
 
         return _call(self._cache, kind, X, build, self.env())
 
@@ -148,7 +148,7 @@ class Critic(GraphCritic):
                              name="critic")
         # closes over the network, not the critic, which reference
         # counting alone then frees
-        super().__init__(in_dim, lambda x: ad.reshape(mlp.apply(x), (x.shape[0],)))
+        super().__init__(in_dim, lambda x: ad.Reshape(mlp.apply(x), (x.shape[0],)))
         self._cache = mlp.programs
 
     def env(self) -> dict:

@@ -82,10 +82,10 @@ class SpaceSpec:
         if self.family == "sobolev":
             shape = self.signal_shape
             if not (isinstance(shape, (tuple, list)) and shape and all(
-                    isinstance(d, numbers.Integral) and not isinstance(d, bool)
+                    isinstance(d, numbers.Integral) and not isinstance(d, bool) and d >= 1
                     for d in shape)):
-                raise SpaceError(f"sobolev signal_shape must be a list of integers, "
-                                 f"got {shape!r}")
+                raise SpaceError(f"sobolev signal_shape must be a list of positive "
+                                 f"integers, got {shape!r}")
             if not np.isfinite(self.s):
                 raise SpaceError(f"s must be finite, got {self.s}")
             if not 0 < self.frequency_scale < np.inf:
@@ -93,10 +93,6 @@ class SpaceSpec:
                                  f"got {self.frequency_scale}")
             self.signal_shape = tuple(int(d) for d in shape)
             lengths = fft_lengths(self.signal_shape)
-            for n in lengths:
-                if n & (n - 1) or n == 0:
-                    raise SpaceError(
-                        f"sobolev FFT axes must be powers of two, got {self.signal_shape}")
             if int(np.prod(lengths)) > MAX_OPERATOR_SIZE:
                 raise SpaceError(
                     f"sobolev transformed axes {lengths} hold more than "
@@ -213,9 +209,9 @@ def fft_lengths(spatial_shape) -> tuple:
 def sobolev_weights(spatial_shape: tuple, s: float, frequency_scale: float):
     """Multiplier (1 + |xi|^2)^(s/2) on the FFT grid of the trailing axes.
 
-    For axis length N the integer modes k in {-N/2, ..., N/2 - 1} are
-    mapped to xi = frequency_scale * k / (N/2), so |xi| <= frequency_scale
-    per axis.
+    For axis length N the integer modes k in {-floor(N/2), ...,
+    ceil(N/2) - 1}, numpy's ``fftfreq`` order, are mapped to
+    xi = frequency_scale * k / (N/2), so |xi| <= frequency_scale per axis.
     """
     lengths = fft_lengths(spatial_shape)
     grids = [2.0 * frequency_scale * np.fft.fftfreq(n) for n in lengths]
@@ -365,30 +361,30 @@ class _Graph:
         return x.shape[1]
 
     def scale(self, x, w, invert):
-        return ad.mul(x, ad.Constant(1.0 / w if invert else w))
+        return ad.Mul(x, ad.Constant(1.0 / w if invert else w))
 
     def cols(self, x, cols):
         S = np.eye(x.shape[1], cols.stop - cols.start, -cols.start)
-        return ad.matmul(x, ad.Constant(S))
+        return ad.MatMul(x, ad.Constant(S))
 
     def fourier(self, x, space, s):
         K = sobolev_operator(space.signal_shape, float(s), float(space.frequency_scale))
         if x.shape[1] == len(K):
-            return ad.matmul(x, ad.Constant(K))
+            return ad.MatMul(x, ad.Constant(K))
         # (c, h, w) layout: each row holds c signals of the transformed axes
-        rows = ad.reshape(x, (x.shape[0] * x.shape[1] // len(K), len(K)))
-        return ad.reshape(ad.matmul(rows, ad.Constant(K)), x.shape)
+        rows = ad.Reshape(x, (x.shape[0] * x.shape[1] // len(K), len(K)))
+        return ad.Reshape(ad.MatMul(rows, ad.Constant(K)), x.shape)
 
     def lp(self, x, p):
         _check_graph_exponent(p)
-        return ad.abs_pow(ad.sum_rows(ad.abs_pow(x, p)), 1.0 / p)
+        return ad.AbsPow(ad.Sum(ad.AbsPow(x, p), 1), 1.0 / p)
 
     def outer(self, parts, p):
         _check_graph_exponent(p)
-        total = ad.abs_pow(parts[0], p)
+        total = ad.AbsPow(parts[0], p)
         for part in parts[1:]:
-            total = ad.add(total, ad.abs_pow(part, p))
-        return ad.abs_pow(total, 1.0 / p)
+            total = ad.Add(total, ad.AbsPow(part, p))
+        return ad.AbsPow(total, 1.0 / p)
 
 
 _ROWS, _PAIRS, _GRAPH = _Rows(), _Pairs(), _Graph()

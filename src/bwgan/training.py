@@ -183,18 +183,18 @@ class CriticLossGraph:
         s_fake = critic.build_scores(self.x_fake)
         s_hat = critic.build_scores(self.x_hat)
 
-        gx = ad.grad(ad.sum_all(s_hat), self.x_hat)
+        gx = ad.grad(ad.Sum(s_hat), self.x_hat)
         dn = dual_norm_rows(space, gx)
-        excess = ad.sub(ad.mul(dn, ad.Constant(1.0 / gamma)), ad.Constant(1.0))
-        self.penalty = ad.mean_all(ad.mul(excess, excess))
+        excess = ad.Sub(ad.Mul(dn, ad.Constant(1.0 / gamma)), ad.Constant(1.0))
+        self.penalty = ad.mean_all(ad.Mul(excess, excess))
         self.dn_mean = ad.mean_all(dn)
-        self.drift = ad.mul(ad.mean_all(ad.mul(s_real, s_real)),
+        self.drift = ad.Mul(ad.mean_all(ad.Mul(s_real, s_real)),
                             ad.Constant(drift))
-        wasserstein_part = ad.mul(
-            ad.sub(ad.mean_all(s_fake), ad.mean_all(s_real)),
+        wasserstein_part = ad.Mul(
+            ad.Sub(ad.mean_all(s_fake), ad.mean_all(s_real)),
             ad.Constant(1.0 / gamma))
-        self.loss = ad.add(
-            ad.add(wasserstein_part, ad.mul(self.penalty, ad.Constant(lam))),
+        self.loss = ad.Add(
+            ad.Add(wasserstein_part, ad.Mul(self.penalty, ad.Constant(lam))),
             self.drift)
 
         self.param_names = critic.mlp.param_names()
@@ -233,7 +233,7 @@ class GeneratorLossGraph:
         self.z = ad.Input((batch, generator.latent_dim), name="z")
         fake = generator.mlp.apply(self.z)
         scores = critic.build_scores(fake)
-        self.loss = ad.mul(ad.neg(ad.mean_all(scores)),
+        self.loss = ad.Mul(ad.Neg(ad.mean_all(scores)),
                            ad.Constant(1.0 / gamma))
         self.param_names = generator.mlp.param_names()
         param_nodes = [generator.mlp.nodes[k] for k in self.param_names]

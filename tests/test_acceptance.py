@@ -160,10 +160,10 @@ def test_criterion_05_double_backprop(capsys):
     batch = 8
     x = ad.Input((batch, 16), name="x")
     scores = critic.build_scores(x)
-    gx = ad.grad(ad.sum_all(scores), x)
+    gx = ad.grad(ad.Sum(scores), x)
     dn = spaces.dual_norm_rows(space, gx)
-    excess = ad.sub(dn, ad.Constant(1.0))
-    penalty = ad.mean_all(ad.mul(excess, excess))
+    excess = ad.Sub(dn, ad.Constant(1.0))
+    penalty = ad.mean_all(ad.Mul(excess, excess))
     names = critic.mlp.param_names()
     grad_nodes = ad.grad(penalty, [critic.mlp.nodes[k] for k in names])
     X = rng.standard_normal((batch, 16))

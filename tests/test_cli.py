@@ -75,10 +75,20 @@ def test_norm_command_sobolev_shape(tmp_path, capsys):
 
 
 def test_norm_command_bad_shape(tmp_path, capsys):
-    path = write_signal(tmp_path, np.zeros(60))
+    path = write_signal(tmp_path, np.zeros(4))
     assert cli.main(["norm", path, "--space", "sobolev",
-                     "--shape", "6x10"]) == cli.EXIT_USAGE
-    assert "power" in capsys.readouterr().err
+                     "--shape", "0x4"]) == cli.EXIT_USAGE
+    assert "positive integers" in capsys.readouterr().err
+
+
+def test_norm_command_sobolev_any_axis_length(tmp_path, capsys):
+    x = np.random.default_rng(1).standard_normal(60)
+    path = write_signal(tmp_path, x)
+    assert cli.main(["norm", path, "--space", "sobolev", "--s", "1.0",
+                     "--shape", "6x10"]) == cli.EXIT_OK
+    got = capsys.readouterr().out.split()[0]
+    sob = spaces.sobolev_space(1.0, 2.0, (6, 10))
+    assert got == f"norm={spaces.norm_batch(sob, x[None])[0]:.12g}"
 
 
 @pytest.mark.parametrize("flags,size,reason", [
@@ -427,6 +437,19 @@ def test_heuristics_rejects_nonpositive_dim(capsys):
     assert cli.main(["heuristics", "--dataset", "uniform_cube",
                      "--dim", "-1"]) == cli.EXIT_USAGE
     assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("exc", [MemoryError(), MemoryError("Unable to allocate 745. GiB")],
+                         ids=["bare", "numpy"])
+def test_out_of_memory_exits_2_with_one_line(capsys, monkeypatch, exc):
+    # a real huge allocation could get the process killed under overcommit
+    def raise_memory_error(*args):
+        raise exc
+    monkeypatch.setattr(training, "heuristic_stats", raise_memory_error)
+    assert cli.main(["heuristics", "--samples", "1"]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory") and len(err.splitlines()) == 1
+    assert str(exc) in err
 
 
 # ---------------------------------------------------------------------------

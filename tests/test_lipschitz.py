@@ -13,7 +13,7 @@ def linear_critic(a):
     a = np.asarray(a, dtype=np.float64)
 
     def build(x):
-        return ad.reshape(ad.matmul(x, ad.Constant(a[:, None])), (x.shape[0],))
+        return ad.Reshape(ad.MatMul(x, ad.Constant(a[:, None])), (x.shape[0],))
 
     return GraphCritic(len(a), build)
 
@@ -22,7 +22,7 @@ def scaled_norm_critic(c, space, dim):
     """f(x) = c * ||x||_B, which is exactly |c|-Lipschitz in B."""
 
     def build(x):
-        return ad.mul(spaces.norm_rows(space, x), ad.Constant(float(c)))
+        return ad.Mul(spaces.norm_rows(space, x), ad.Constant(float(c)))
 
     return GraphCritic(dim, build)
 

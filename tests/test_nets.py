@@ -12,7 +12,7 @@ def independent(critic, X):
     scores = critic.build_scores(x)
     env = critic.mlp.env()
     env[x] = X
-    return ad.evaluate([scores, ad.grad(ad.sum_all(scores), x)], env)
+    return ad.evaluate([scores, ad.grad(ad.Sum(scores), x)], env)
 
 
 def test_value_batch_builds_no_gradient_graph(monkeypatch):
@@ -96,8 +96,8 @@ def test_second_critic_of_an_architecture_compiles_nothing(monkeypatch):
 
 def test_custom_graph_critics_keep_their_own_programs():
     def linear(a):
-        return GraphCritic(3, lambda x: ad.reshape(
-            ad.matmul(x, ad.Constant(np.asarray(a, dtype=np.float64)[:, None])),
+        return GraphCritic(3, lambda x: ad.Reshape(
+            ad.MatMul(x, ad.Constant(np.asarray(a, dtype=np.float64)[:, None])),
             (x.shape[0],)))
 
     first, second = linear([1.0, 2.0, 3.0]), linear([-1.0, 0.0, 0.5])

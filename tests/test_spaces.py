@@ -57,9 +57,11 @@ def test_rejects_unknown_measure():
         spaces.lp_space(2.0, measure="lebesgue")
 
 
-def test_sobolev_rejects_non_power_of_two():
-    with pytest.raises(spaces.SpaceError):
-        spaces.sobolev_space(1.0, 2.0, (12, 12))
+def test_sobolev_rejects_non_positive_axes():
+    # without the check, (0, 16, 16) and (-1, 4, 4) built spaces of size 0 and -16
+    for shape in [(0,), (4, 0), (0, 16, 16), (-1, 4, 4)]:
+        with pytest.raises(spaces.SpaceError, match="positive integers"):
+            spaces.sobolev_space(1.0, 2.0, shape)
 
 
 def test_sobolev_rejects_operators_above_the_cap():
@@ -389,7 +391,8 @@ def sobolev_multiply(x, s, frequency_scale=5.0):
     return np.fft.ifftn(mult * np.fft.fftn(x, axes=axes), axes=axes).real
 
 
-@pytest.mark.parametrize("shape", [(16,), (8, 8), (2, 8, 8), (4, 16)])
+@pytest.mark.parametrize("shape", [(16,), (8, 8), (2, 8, 8), (4, 16), (12,), (6, 10),
+                                   (3, 12, 12)])
 @pytest.mark.parametrize("s", [1.0, -0.5])
 def test_sobolev_norms_match_fft_reference(shape, s):
     rng = np.random.default_rng(len(shape) + shape[-1])
@@ -601,7 +604,7 @@ def test_graph_norm_gradient_matches_finite_differences():
     space = spaces.sobolev_space(0.5, 3.0, (8,))
     X = rng.standard_normal((2, 8))
     x = ad.Input((2, 8), name="x")
-    out = ad.sum_all(spaces.norm_rows(space, x))
+    out = ad.Sum(spaces.norm_rows(space, x))
     got = ad.evaluate(ad.grad(out, x), {x: X})
     h = 1e-6
     fd = np.zeros_like(X)

@@ -497,15 +497,15 @@ def distance_critic(y0, space, dim):
 
     def build(x):
         shift = ad.Constant(np.tile(y0, (x.shape[0], 1)))
-        return spaces.norm_rows(space, ad.sub(x, shift))
+        return spaces.norm_rows(space, ad.Sub(x, shift))
 
     return GraphCritic(dim, build)
 
 
 def test_dual_estimate_linear_critic():
     a = np.array([1.0, 0.0])
-    critic = GraphCritic(2, lambda x: ad.reshape(
-        ad.matmul(x, ad.Constant(a[:, None])), (x.shape[0],)))
+    critic = GraphCritic(2, lambda x: ad.Reshape(
+        ad.MatMul(x, ad.Constant(a[:, None])), (x.shape[0],)))
     mu = transport.DiscreteMeasure([[2.0, 5.0], [4.0, 1.0]], [0.5, 0.5])
     nu = transport.DiscreteMeasure([[1.0, 0.0]], [1.0])
     # E_mu x_1 - E_nu x_1 = 3 - 1
