@@ -9,6 +9,7 @@ dominated by the supremum of the dual gradient norm on that segment.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -47,6 +48,12 @@ def difference_quotient(critic, space: SpaceSpec, x, y) -> float:
     return float(_pair_gaps(critic, x[None], y[None])[0] / denom)
 
 
+def _check_count(name, value, lo):
+    """Reject a count that is not an integer >= ``lo``, or is a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < lo:
+        raise ValueError(f"{name} must be an integer >= {lo}, got {value!r}")
+
+
 @lru_cache(maxsize=16)
 def _segment_weights(samples: int):
     """Read-only columns t and 1 - t of ``samples`` + 2 equispaced points
@@ -60,11 +67,13 @@ def _segment_weights(samples: int):
 def segment_grad_sup(critic, space: SpaceSpec, x, y, samples: int = 100) -> float:
     """Max dual gradient norm over equispaced points of [x, y], endpoints
     included."""
+    _check_count("samples", samples, 0)
     x = np.asarray(x, dtype=np.float64).ravel()
     y = np.asarray(y, dtype=np.float64).ravel()
     t, one_minus_t = _segment_weights(samples)
-    pts = t * x + one_minus_t * y
-    return float(np.max(grad_dual_norm_batch(critic, space, pts)))
+    pts = np.multiply(t, x)
+    pts += np.multiply(one_minus_t, y)
+    return float(grad_dual_norm_batch(critic, space, pts).max())
 
 
 def estimate_lipschitz(critic, space: SpaceSpec, sampler, n: int,
@@ -76,20 +85,20 @@ def estimate_lipschitz(critic, space: SpaceSpec, sampler, n: int,
     plus both endpoints, so the reported gradient maximum dominates every
     difference quotient.  Coincident pairs are skipped and counted.
     """
-    if n < 1:
-        raise ValueError("need at least one sample")
+    _check_count("n", n, 1)
+    _check_count("segment_samples", segment_samples, 0)
     X, Y = sampler(n)
     X = np.asarray(X, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
     denom = norm_batch(space, X - Y)
     ok = denom > 0.0
-    skipped = int(np.sum(~ok))
+    skipped = len(ok) - np.count_nonzero(ok)
     max_quot = 0.0
-    if np.any(ok):
-        max_quot = float(np.max(_pair_gaps(critic, X[ok], Y[ok]) / denom[ok]))
+    if skipped < len(ok):
+        max_quot = float((_pair_gaps(critic, X[ok], Y[ok]) / denom[ok]).max())
     t, one_minus_t = _segment_weights(segment_samples)
     pts = (t[:, :, None] * X + one_minus_t[:, :, None] * Y).reshape(-1, X.shape[1])
-    max_grad = float(np.max(grad_dual_norm_batch(critic, space, pts)))
+    max_grad = float(grad_dual_norm_batch(critic, space, pts).max())
     return LipschitzReport(max_dual_gradient_norm=max_grad,
                            max_difference_quotient=max_quot,
                            sample_count=n, skipped=skipped, space=space)

@@ -22,6 +22,7 @@ N^(1/p) on the counting q-norm.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from functools import lru_cache
@@ -126,7 +127,7 @@ class SpaceSpec:
     def size(self) -> int | None:
         """Flat signal size, where the family pins it down."""
         if self.family == "sobolev":
-            return int(np.prod(self.signal_shape))
+            return math.prod(self.signal_shape)
         if self.family == "weighted":
             return self.weight.size
         if self.family == "product":
@@ -166,7 +167,7 @@ def dual_exponent(p: float) -> float:
     """
     if not p > 1.0:
         raise SpaceError(f"dual exponent requires p > 1, got {p}")
-    if np.isinf(p):
+    if math.isinf(p):
         return 1.0
     return p / (p - 1.0)
 
@@ -179,13 +180,15 @@ def _lp_norm_rows(X, p):
     m^p stays normal while p <= 1022.  Above that it divides by the
     maximum itself."""
     absx = np.abs(X)
-    if np.isinf(p):
-        return np.max(absx, axis=1)
+    if math.isinf(p):
+        return absx.max(axis=1)
     with np.errstate(over="ignore"):
-        sums = np.sum(absx ** p, axis=1)
+        sums = (absx ** p).sum(axis=1)
     out = sums ** (1.0 / p)
-    redo = np.flatnonzero((sums < _TINY) | (sums == np.inf))
-    if redo.size:
+    # fmin and fmax skip NaN rows, so a NaN row cannot hide an
+    # overflowing one; fmin.reduce raises on an empty batch
+    if sums.size and (np.fmin.reduce(sums) < _TINY or np.fmax.reduce(sums) == np.inf):
+        redo = np.flatnonzero((sums < _TINY) | (sums == np.inf))
         top = np.max(absx[redo], axis=1, keepdims=True)
         ok = np.isfinite(top[:, 0]) & (top[:, 0] > 0.0)
         redo, top = redo[ok], top[ok]
@@ -350,7 +353,7 @@ class _Pairs(_Rows):
 def _check_graph_exponent(p):
     # (sum |x_i|^p)^(1/p) at p = inf would compute |x|^inf and then the
     # power 0, which is 1 for every row; the max is not built as a graph
-    if np.isinf(p):
+    if math.isinf(p):
         raise SpaceError("graph norms are not implemented for p = inf")
 
 

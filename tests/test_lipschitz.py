@@ -182,3 +182,38 @@ def test_segment_weights_are_cached_read_only_and_bit_equal():
     pts = ref_t * x + (1.0 - ref_t) * y
     want = np.max(lipschitz.grad_dual_norm_batch(critic, spaces.lp_space(3.0), pts))
     assert lipschitz.segment_grad_sup(critic, spaces.lp_space(3.0), x, y, 6) == want
+
+
+BAD_COUNTS = [-1, -2, -3, 2.5, True, False, None, "3"]
+
+
+@pytest.mark.parametrize("samples", BAD_COUNTS, ids=repr)
+def test_segment_grad_sup_rejects_bad_sample_counts(samples):
+    # -1 used to drop the x endpoint and return the dual norm at y alone
+    critic = Critic(4, (5,), "tanh", rng=np.random.default_rng(9))
+    with pytest.raises(ValueError, match="samples must be an integer >= 0"):
+        lipschitz.segment_grad_sup(critic, L2, np.zeros(4), np.ones(4), samples)
+    assert critic._cache == {}
+
+
+@pytest.mark.parametrize("name, value", [("n", v) for v in (0, -1, 2.5, True, None)]
+                         + [("segment_samples", v) for v in BAD_COUNTS],
+                         ids=repr)
+def test_estimate_lipschitz_rejects_bad_counts(name, value):
+    critic = Critic(4, (5,), "tanh", rng=np.random.default_rng(9))
+    kwargs = {"n": 3, "segment_samples": 2, name: value}
+    sampler = lambda n: (np.zeros((3, 4)), np.ones((3, 4)))  # noqa: E731
+    with pytest.raises(ValueError, match=f"{name} must be an integer >= "):
+        lipschitz.estimate_lipschitz(critic, L2, sampler, **kwargs)
+    assert critic._cache == {}
+
+
+def test_numpy_integer_counts_are_accepted():
+    critic = Critic(4, (5,), "tanh", rng=np.random.default_rng(9))
+    x, y = np.zeros(4), np.ones(4)
+    assert (lipschitz.segment_grad_sup(critic, L2, x, y, np.int64(0))
+            == lipschitz.segment_grad_sup(critic, L2, x, y, 0))
+    sampler = lambda n: (np.zeros((n, 4)), np.ones((n, 4)))  # noqa: E731
+    report = lipschitz.estimate_lipschitz(critic, L2, sampler, np.int64(2),
+                                          segment_samples=np.int64(1))
+    assert report.sample_count == 2 and report.skipped == 0

@@ -213,6 +213,39 @@ def test_lp_norm_at_large_exponents_is_finite(p, row, want):
     assert got == pytest.approx(want, rel=1e-12)
 
 
+@pytest.mark.parametrize("p", [1.3, 2.0, 3.0, 10.0, 1500.0])
+def test_lp_norm_of_a_row_does_not_depend_on_its_batch(p):
+    # the rescue is entered per batch; a NaN row in the batch must not keep
+    # an overflowing or underflowing row from being rescued
+    big = 2.0 ** 600
+    rows = np.array([[NAN, 1.0, 0.0, 0.0], [INF, 1.0, 0.0, 0.0],
+                     [1e300, 1e300, 0.0, 1.0], [big, -big, big, 1.0],
+                     [1e-300, 1e-300, 0.0, 0.0], [1e-170, 2e-170, 0.0, -1e-170],
+                     [0.0, 0.0, 0.0, 0.0], [3.0, -4.0, 0.5, 2.0],
+                     [0.25, 1.0, -7.0, 1e-3]])
+    space = spaces.lp_space(p)
+    rng = np.random.default_rng(61)
+    for fn in (spaces.norm_batch, spaces.dual_norm_batch):
+        alone = np.array([fn(space, row[None])[0] for row in rows])
+        for _ in range(30):
+            pick = rng.choice(len(rows), size=rng.integers(1, len(rows) + 1),
+                              replace=False)
+            np.testing.assert_array_equal(fn(space, rows[pick]), alone[pick])
+
+
+@pytest.mark.parametrize("dim", [16, 64])
+def test_zero_row_batches(dim):
+    X = np.random.default_rng(62).standard_normal((3, dim))
+    empty = np.zeros((0, dim))
+    for space in space_zoo(dim):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert spaces.norm_batch(space, empty).shape == (0,)
+            assert spaces.dual_norm_batch(space, empty).shape == (0,)
+            assert spaces.pairwise_norms(space, empty, X).shape == (0, 3)
+            assert spaces.pairwise_norms(space, X, empty).shape == (3, 0)
+
+
 def test_dual_norm_near_p_one_is_the_row_maximum():
     # the dual exponent of p = 1.0005 is about 2001, so 1.5^q overflows
     with warnings.catch_warnings():
