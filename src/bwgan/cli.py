@@ -47,33 +47,44 @@ class CliError(Exception):
 
 def add_space_flags(parser):
     parser.add_argument("--space", choices=("lp", "sobolev"), default="lp")
-    parser.add_argument("--p", type=float, default=2.0)
-    parser.add_argument("--s", type=float, default=0.0)
-    parser.add_argument("--frequency-scale", type=float, default=5.0)
-    parser.add_argument("--measure", choices=spaces.MEASURES, default="counting")
+    parser.add_argument("--p", type=float)
+    parser.add_argument("--s", type=float)
+    parser.add_argument("--frequency-scale", type=float)
+    parser.add_argument("--measure", choices=spaces.MEASURES)
     parser.add_argument("--shape", type=str, default=None,
                         help="signal shape like 16x16 or 3x16x16 (sobolev)")
 
 
-def parse_shape(raw: str | None, default: tuple):
-    if raw is None:
-        return default
-    try:
-        return tuple(int(d) for d in raw.lower().split("x"))
-    except ValueError:
-        raise CliError(f"bad --shape {raw!r}; expected e.g. 16x16")
+SPACE_KEYS = {"family", "p", "s", "frequency_scale", "measure", "signal_shape"}
+
+
+def build_space(doc: dict, default_shape: tuple) -> SpaceSpec:
+    """The space that ``doc``, a mapping of ``SPACE_KEYS``, names; a key
+    left out takes ``SpaceSpec``'s default, and a Sobolev space without
+    ``signal_shape`` takes the layout of the input, ``default_shape``."""
+    doc = {"family": "lp", **doc}
+    family = doc["family"]
+    if family not in ("lp", "sobolev"):
+        raise CliError(f"unsupported space family {family!r} in config")
+    if family == "sobolev":
+        doc.setdefault("signal_shape", default_shape)
+    elif stray := [key for key in ("s", "frequency_scale", "signal_shape") if key in doc]:
+        raise CliError(f"an lp space takes no {', '.join(stray)} (sobolev only)")
+    return SpaceSpec(**doc)
 
 
 def space_from_flags(args, default_shape: tuple) -> SpaceSpec:
-    """The space the flags name; a Sobolev space without --shape takes the
-    layout of the input, ``default_shape``."""
-    if args.space == "lp":
-        return spaces.lp_space(args.p, args.measure)
-    return spaces.sobolev_space(args.s, args.p, parse_shape(args.shape, default_shape),
-                                args.frequency_scale, args.measure)
+    """The space the flags name; an unset flag takes ``SpaceSpec``'s default."""
+    doc = {key: getattr(args, key) for key in ("p", "s", "frequency_scale", "measure")
+           if getattr(args, key) is not None}
+    if args.shape is not None:
+        try:
+            doc["signal_shape"] = tuple(int(d) for d in args.shape.lower().split("x"))
+        except ValueError:
+            raise CliError(f"bad --shape {args.shape!r}; expected e.g. 16x16")
+    return build_space(dict(doc, family=args.space), default_shape)
 
 
-SPACE_KEYS = {"family", "p", "s", "frequency_scale", "measure", "signal_shape"}
 # the train section holds the TrainConfig fields except space, with lam spelled lambda
 TRAIN_KEYS = {"lambda" if f.name == "lam" else f.name
               for f in dataclasses.fields(TrainConfig) if f.name != "space"}
@@ -116,14 +127,8 @@ def load_run_config(path):
             raise CliError(f"{where} section must be an object")
         _check_keys(section, allowed, where)
 
-    family = space_doc.setdefault("family", "lp")
-    if family not in ("lp", "sobolev"):
-        raise CliError(f"unsupported space family {family!r} in config")
-    if family == "sobolev" and "signal_shape" not in space_doc:
-        space_doc["signal_shape"] = datasets.signal_shape(
-            train_doc.get("dataset", TrainConfig.dataset))
-    space = SpaceSpec(**space_doc)
-
+    space = build_space(space_doc, datasets.signal_shape(
+        train_doc.get("dataset", TrainConfig.dataset)))
     try:
         config = TrainConfig(space=space, **{"lam" if k == "lambda" else k: v
                                              for k, v in train_doc.items()})
@@ -133,7 +138,7 @@ def load_run_config(path):
     log_every = output_doc.get("log_every", 1)
     if not isinstance(out_dir, str):
         raise CliError(f"directory must be a string, got {out_dir!r}")
-    if isinstance(log_every, bool) or not isinstance(log_every, int) or log_every < 1:
+    if not spaces.is_count(log_every):
         raise CliError(f"log_every must be an integer >= 1, got {log_every!r}")
     return config, out_dir, log_every
 
@@ -250,7 +255,9 @@ def cmd_train(args) -> int:
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "metrics.csv")
     try:
-        generator, critic, metrics = training.train(config)
+        # a diverging run overflows; its one report is the DivergenceError
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            generator, critic, metrics = training.train(config)
     except DivergenceError as exc:
         write_metrics_csv(csv_path, exc.metrics, log_every)
         raise

@@ -9,13 +9,12 @@ dominated by the supremum of the dual gradient norm on that segment.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .spaces import SpaceSpec, dual_norm_batch, norm, norm_batch
+from .spaces import SpaceSpec, dual_norm_batch, is_count, norm, norm_batch
 
 
 @dataclass
@@ -24,7 +23,6 @@ class LipschitzReport:
     max_difference_quotient: float
     sample_count: int
     skipped: int
-    space: SpaceSpec
 
 
 def grad_dual_norm_batch(critic, space: SpaceSpec, X) -> np.ndarray:
@@ -50,7 +48,7 @@ def difference_quotient(critic, space: SpaceSpec, x, y) -> float:
 
 def _check_count(name, value, lo):
     """Reject a count that is not an integer >= ``lo``, or is a bool."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < lo:
+    if not is_count(value, lo):
         raise ValueError(f"{name} must be an integer >= {lo}, got {value!r}")
 
 
@@ -92,7 +90,7 @@ def estimate_lipschitz(critic, space: SpaceSpec, sampler, n: int,
     Y = np.asarray(Y, dtype=np.float64)
     denom = norm_batch(space, X - Y)
     ok = denom > 0.0
-    skipped = len(ok) - np.count_nonzero(ok)
+    skipped = len(ok) - int(np.count_nonzero(ok))
     max_quot = 0.0
     if skipped < len(ok):
         max_quot = float((_pair_gaps(critic, X[ok], Y[ok]) / denom[ok]).max())
@@ -101,5 +99,5 @@ def estimate_lipschitz(critic, space: SpaceSpec, sampler, n: int,
     max_grad = float(grad_dual_norm_batch(critic, space, pts).max())
     return LipschitzReport(max_dual_gradient_norm=max_grad,
                            max_difference_quotient=max_quot,
-                           sample_count=n, skipped=skipped, space=space)
+                           sample_count=n, skipped=skipped)
 

@@ -49,6 +49,11 @@ class SpaceError(ValueError):
     """Raised for invalid space parameters or incompatible signals."""
 
 
+def is_count(value, lo=1) -> bool:
+    """Whether ``value`` is an integer >= ``lo`` and not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= lo
+
+
 @dataclass
 class SpaceSpec:
     """Descriptor of one Banach space.
@@ -82,9 +87,8 @@ class SpaceSpec:
             raise SpaceError(f"exponent p must be >= 1, got {self.p}")
         if self.family == "sobolev":
             shape = self.signal_shape
-            if not (isinstance(shape, (tuple, list)) and shape and all(
-                    isinstance(d, numbers.Integral) and not isinstance(d, bool) and d >= 1
-                    for d in shape)):
+            if not (isinstance(shape, (tuple, list)) and shape
+                    and all(is_count(d) for d in shape)):
                 raise SpaceError(f"sobolev signal_shape must be a list of positive "
                                  f"integers, got {shape!r}")
             if not np.isfinite(self.s):
@@ -118,8 +122,7 @@ class SpaceSpec:
             if not self.factors:
                 raise SpaceError("product space needs at least one factor")
             for sub, size in self.factors:
-                if isinstance(size, bool) or not isinstance(size, numbers.Integral) \
-                        or size < 1 or sub.size not in (None, size):
+                if not is_count(size) or sub.size not in (None, size):
                     fixed = "" if sub.size is None else f" equal to its space's size {sub.size}"
                     raise SpaceError(f"factor size {size!r} must be a positive integer{fixed}")
 

@@ -29,7 +29,8 @@ import numpy as np
 from . import autodiff as ad
 from . import datasets
 from .nets import ACTIVATIONS, Critic, Generator
-from .spaces import SpaceError, SpaceSpec, dual_norm_batch, dual_norm_rows, norm_batch
+from .spaces import (SpaceError, SpaceSpec, dual_norm_batch, dual_norm_rows, is_count,
+                     norm_batch)
 from .transport import DiscreteMeasure, wasserstein_1
 
 
@@ -58,8 +59,8 @@ def heuristic_stats(sampler, rng: np.random.Generator, n: int, space: SpaceSpec)
     """(lambda, gamma) heuristics with Monte-Carlo standard errors over
     ``n`` rows of ``sampler(rng, k)``, drawn at most 2048 at a time so that
     memory stays flat for large ``n`` times the signal size."""
-    if n < 1:
-        raise ValueError(f"need at least one sample, got {n}")
+    if not is_count(n):
+        raise ValueError(f"n must be an integer >= 1, got {n!r}")
     norms, duals = [], []
     for start in range(0, n, 2048):
         chunk = np.asarray(sampler(rng, min(n - start, 2048)), dtype=np.float64)
@@ -300,13 +301,9 @@ class TrainConfig:
                              f"the {self.dataset} dimension {dim}")
 
 
-def _is_int(v):
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
-
-
 def _is_real(v):
-    return _is_int(v) or (isinstance(v, numbers.Real) and not isinstance(v, bool)
-                          and np.isfinite(v))
+    return not isinstance(v, bool) and (isinstance(v, numbers.Integral) or (
+        isinstance(v, numbers.Real) and np.isfinite(v)))
 
 
 def _auto_or_positive(v):
@@ -314,11 +311,11 @@ def _auto_or_positive(v):
 
 
 def _widths(v):
-    return isinstance(v, tuple) and all(_is_int(d) and d >= 1 for d in v)
+    return isinstance(v, tuple) and all(is_count(d) for d in v)
 
 
 def _integer(lo):
-    return lambda v: _is_int(v) and v >= lo, f"an integer >= {lo}"
+    return lambda v: is_count(v, lo), f"an integer >= {lo}"
 
 
 def _one_of(names):

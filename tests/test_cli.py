@@ -81,6 +81,19 @@ def test_norm_command_bad_shape(tmp_path, capsys):
     assert "positive integers" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, fields", [
+    (("--s", "1", "--shape", "2x2"), ["s", "signal_shape"]),
+    (("--frequency-scale", "3"), ["frequency_scale"]),
+    (("--p", "3", "--shape", "4"), ["signal_shape"])])
+def test_norm_command_lp_rejects_sobolev_flags(tmp_path, capsys, flags, fields):
+    path = write_signal(tmp_path, [1.0, 2.0, 2.0, 4.0])
+    assert cli.main(["norm", path, *flags]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+    assert all(field in captured.err for field in fields)
+
+
 def test_norm_command_sobolev_any_axis_length(tmp_path, capsys):
     x = np.random.default_rng(1).standard_normal(60)
     path = write_signal(tmp_path, x)
@@ -693,6 +706,18 @@ def test_train_rejects_malformed_json(tmp_path, capsys):
     assert cli.main(["train", str(config)]) == cli.EXIT_USAGE
 
 
+@pytest.mark.parametrize("space, dataset, fields", [
+    ({"s": 1.0, "frequency_scale": 3.0}, "rectangles", ["s", "frequency_scale"]),
+    ({"family": "lp", "signal_shape": [3]}, "eight_gaussians", ["signal_shape"])])
+def test_train_lp_space_rejects_sobolev_keys(tmp_path, capsys, space, dataset, fields):
+    doc = tiny_config_doc(tmp_path / "run", dataset=dataset, total_iterations=2)
+    doc["space"] = space
+    assert cli.main(config_file(tmp_path, doc)) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert all(field in err for field in fields)
+
+
 def test_train_divergence_exit_code(tmp_path, capsys):
     out_dir = tmp_path / "run"
     config = tmp_path / "run.json"
@@ -702,6 +727,20 @@ def test_train_divergence_exit_code(tmp_path, capsys):
         assert cli.main(["train", str(config)]) == cli.EXIT_DIVERGED
     # partial metrics are still flushed
     assert (out_dir / "metrics.csv").exists()
+
+
+def test_train_divergence_prints_one_line_without_warnings(tmp_path, capsys):
+    """Run outside ``np.errstate``: with RuntimeWarnings raised as errors,
+    an overflow that escapes ``cmd_train`` fails this test."""
+    out_dir = tmp_path / "run"
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(tiny_config_doc(
+        out_dir, lr=1e100, total_iterations=30, w1_every=0)))
+    assert cli.main(["train", str(config)]) == cli.EXIT_DIVERGED
+    err = capsys.readouterr().err
+    assert err.startswith("error: non-finite loss at iteration ")
+    assert len(err.splitlines()) == 1
+    assert (out_dir / "metrics.csv").read_text().startswith(cli.METRICS_HEADER + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -114,6 +114,13 @@ def test_estimate_lipschitz_skips_coincident_pairs():
     assert report.max_difference_quotient == pytest.approx(1.0)
 
 
+def test_estimate_lipschitz_report_counts_are_ints():
+    critic = linear_critic(np.ones(2))
+    X = np.array([[0.0, 0.0], [1.0, 1.0]])
+    report = lipschitz.estimate_lipschitz(critic, L2, lambda n: (X, X[::-1]), 2)
+    assert type(report.sample_count) is int and type(report.skipped) is int
+
+
 def test_estimate_lipschitz_rejects_empty():
     critic = linear_critic(np.ones(2))
     with pytest.raises(ValueError):

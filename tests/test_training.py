@@ -70,6 +70,17 @@ def test_heuristics_reject_empty_sample():
         training.heuristic_stats(normal_rows, np.random.default_rng(0), 0, L2)
 
 
+@pytest.mark.parametrize("n", [True, 2.5, 0, -1])
+def test_heuristic_stats_rejects_non_count_n(n):
+    with pytest.raises(ValueError, match="n must be an integer >= 1"):
+        training.heuristic_stats(normal_rows, np.random.default_rng(0), n, L2)
+
+
+def test_heuristic_stats_accepts_numpy_integer_n():
+    got = training.heuristic_stats(normal_rows, np.random.default_rng(0), np.int64(3), L2)
+    assert got == training.heuristic_stats(normal_rows, np.random.default_rng(0), 3, L2)
+
+
 def normal_rows(rng, n):
     return rng.standard_normal((n, 4))
 
