@@ -8,10 +8,12 @@ maximizer of the duality quotient, which serves as an independent check of
 the dual norm formulas.  A Sobolev multiplier is applied as one matmul
 against its cached real symmetric n x n matrix (``sobolev_operator``), so
 the transformed axes of a Sobolev space may hold at most
-``MAX_OPERATOR_SIZE`` entries; a graph norm selects a product factor's
-columns by a matmul against a 0/1 matrix.  Only pairwise L^2 distances
-between rows narrower than ``_GRAM_MIN_COLUMNS`` (``scipy.spatial``) load
-a scipy module, on first use; wider rows take one Gram matmul.
+``MAX_OPERATOR_SIZE`` entries; pairwise W^{s,2} distances skip it, by
+Parseval, for one real FFT per point.  A graph norm selects a product
+factor's columns by a matmul against a 0/1 matrix.  Only pairwise
+distances load scipy modules, on first use: ``scipy.fft`` for W^{s,2},
+and ``scipy.spatial`` for L^2 between rows narrower than
+``_GRAM_MIN_COLUMNS``; wider rows take one Gram matmul.
 
 Two discretization measures are available.  ``counting`` treats every
 entry with weight 1; ``normalized`` averages (weight 1/N).  The primal
@@ -178,25 +180,24 @@ def dual_exponent(p: float) -> float:
 def _lp_norm_rows(X, p):
     """Per-row L^p norms.  A finite, nonzero row whose power sum overflows
     to inf or falls below the normal range is redone divided by the power
-    of two just above its maximum, which is exact, and scaled back: the
-    largest entry m is then in [0.5, 1), so the sum cannot overflow and
-    m^p stays normal while p <= 1022.  Above that it divides by the
-    maximum itself."""
+    of two just above its maximum, at most 2^1023, which is exact, and
+    scaled back: the largest entry m is then in [0.5, 2), so the sum
+    overflows only when the norm does, to inf, and m^p stays normal while
+    p <= 1022.  Above that it divides by the maximum itself."""
     absx = np.abs(X)
     if math.isinf(p):
         return absx.max(axis=1)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", under="ignore"):
         sums = (absx ** p).sum(axis=1)
-    out = sums ** (1.0 / p)
-    # fmin and fmax skip NaN rows, so a NaN row cannot hide an
-    # overflowing one; fmin.reduce raises on an empty batch
-    if sums.size and (np.fmin.reduce(sums) < _TINY or np.fmax.reduce(sums) == np.inf):
-        redo = np.flatnonzero((sums < _TINY) | (sums == np.inf))
-        top = np.max(absx[redo], axis=1, keepdims=True)
-        ok = np.isfinite(top[:, 0]) & (top[:, 0] > 0.0)
-        redo, top = redo[ok], top[ok]
-        scale = np.ldexp(1.0, np.frexp(top)[1]) if p <= 1022.0 else top
-        with np.errstate(under="ignore"):
+        out = sums ** (1.0 / p)
+        # fmin and fmax skip NaN rows, so a NaN row cannot hide an
+        # overflowing one; fmin.reduce raises on an empty batch
+        if sums.size and (np.fmin.reduce(sums) < _TINY or np.fmax.reduce(sums) == np.inf):
+            redo = np.flatnonzero((sums < _TINY) | (sums == np.inf))
+            top = np.max(absx[redo], axis=1, keepdims=True)
+            ok = np.isfinite(top[:, 0]) & (top[:, 0] > 0.0)
+            redo, top = redo[ok], top[ok]
+            scale = np.ldexp(1.0, np.minimum(np.frexp(top)[1], 1023)) if p <= 1022.0 else top
             out[redo] = scale[:, 0] * np.sum((absx[redo] / scale) ** p, axis=1) ** (1.0 / p)
     return out
 
@@ -249,6 +250,17 @@ def sobolev_operator(spatial_shape: tuple, s: float, frequency_scale: float):
     return K
 
 
+@lru_cache(maxsize=64)
+def _half_spectrum_weights(spatial_shape: tuple, s: float, frequency_scale: float):
+    """``sobolev_weights`` on the last-axis columns that ``rfftn`` keeps,
+    times sqrt(2) on those whose conjugates it drops.  Read-only."""
+    n = fft_lengths(spatial_shape)[-1]
+    w = sobolev_weights(spatial_shape, s, frequency_scale)[..., : n // 2 + 1].copy()
+    w[..., 1:(n + 1) // 2] *= math.sqrt(2.0)
+    w.flags.writeable = False
+    return w
+
+
 # ---------------------------------------------------------------------------
 # Norms: one recursion over three op sets
 # ---------------------------------------------------------------------------
@@ -268,10 +280,11 @@ def _norm(space: SpaceSpec, x, ops, dual: bool):
     if space.family == "product":
         return ops.outer([_norm(sub, ops.cols(x, cols), ops, dual)
                           for sub, cols in _factor_columns(space)], p)
+    n = ops.width(x)   # the signal's; pairwise Sobolev features are wider
     if space.family == "sobolev":
         x = ops.fourier(x, space, -space.s if dual else space.s)
     if space.measure == "normalized":
-        x = ops.scale(x, ops.width(x) ** ((1.0 if dual else -1.0) / space.p), False)
+        x = ops.scale(x, n ** ((1.0 if dual else -1.0) / space.p), False)
     return ops.lp(x, p)
 
 
@@ -315,7 +328,8 @@ class _Pairs(_Rows):
     """Numeric operand: a pair (X, Y), the (m, n) matrix of ||x_i - y_j||.
 
     Every operator a norm applies before its L^p norm is linear, so it acts
-    on the m + n rows instead of the m * n differences.
+    on the m + n rows instead of the m * n differences; at p = 2 a Sobolev
+    multiplier maps them to FFT features (``fourier``), not the operator.
     """
 
     def apply(self, xy, f):
@@ -323,6 +337,27 @@ class _Pairs(_Rows):
 
     def width(self, xy):
         return xy[0].shape[1]
+
+    def fourier(self, xy, space, s):
+        """At p = 2, rows of features whose Euclidean distances are the
+        W^{s,2} distances (Parseval): the weighted unitary half spectrum
+        from one forward real FFT per point, with no n x n operator."""
+        if space.p != 2.0:
+            return super().fourier(xy, space, s)
+        from scipy.fft import rfftn
+        w = _half_spectrum_weights(space.signal_shape, float(s), float(space.frequency_scale))
+        axes = tuple(range(-w.ndim, 0))
+
+        def features(a):
+            f = rfftn(a.reshape((len(a),) + space.signal_shape), axes=axes, norm="ortho")
+            f *= w
+            return f.reshape(len(a), math.prod(f.shape[1:])).view(np.float64)
+        with np.errstate(over="ignore", invalid="ignore"):
+            fx, fy = self.apply(xy, features)
+        # FFT partial sums can overflow where the operator's sums do not
+        if np.isfinite(fx).all() and np.isfinite(fy).all():
+            return fx, fy
+        return super().fourier(xy, space, s)
 
     def lp(self, xy, p):
         X, Y = xy

@@ -185,9 +185,9 @@ def wasserstein_p_exact(mu: DiscreteMeasure, nu: DiscreteMeasure,
         D = cost_matrix(mu, nu, space)
     if not np.isfinite(D).all():
         raise TransportError("a distance ||x - y|| overflows the float range")
-    # a power of two above the largest distance (module docstring)
-    scale = math.ldexp(1.0, math.frexp(D.max())[1])
-    C = (D / scale) ** p
+    # D / 2^e, 2^e a power of two above the largest distance (module docstring)
+    e = math.frexp(D.max())[1]
+    C = np.ldexp(D, -e) ** p
     counts = _unit_counts(mu, nu)
     if counts is not None:
         matrix = _assignment_plan(C, *counts)
@@ -199,7 +199,7 @@ def wasserstein_p_exact(mu: DiscreteMeasure, nu: DiscreteMeasure,
             f"marginal violation {plan.marginal_error():.3e} above tolerance")
     cost = float(np.sum(plan.matrix * C))
     if cost >= 2.0 ** -900:
-        return scale * cost ** (1.0 / p), plan
+        return math.ldexp(cost ** (1.0 / p), e), plan
     return norm(lp_space(p), np.maximum(plan.matrix, 0.0) ** (1.0 / p) * D), plan
 
 

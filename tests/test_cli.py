@@ -146,6 +146,18 @@ def test_norm_command_of_a_huge_signal_is_finite(tmp_path, capsys):
     assert captured.err == ""
 
 
+def test_norm_command_of_a_signal_near_the_float_maximum(tmp_path, capsys):
+    path = write_signal(tmp_path, [1e308, 1e308])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["norm", path]) == cli.EXIT_OK
+    captured = capsys.readouterr()
+    norm, dual = (float(f.split("=")[1]) for f in captured.out.split())
+    assert norm == pytest.approx(np.sqrt(2.0) * 1e308, rel=1e-11)
+    assert dual == pytest.approx(np.sqrt(2.0) * 1e308, rel=1e-11)
+    assert captured.err == ""
+
+
 def test_norm_command_nan_signal_exits_2(tmp_path, capsys):
     path = write_signal(tmp_path, ["nan", 1.0, 2.0])
     assert cli.main(["norm", path]) == cli.EXIT_USAGE
@@ -375,6 +387,23 @@ def test_wasserstein_infinite_distance_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and len(err.splitlines()) == 1
     assert "overflows" in err
+
+
+def test_wasserstein_near_the_float_maximum_exits_0(tmp_path, capsys):
+    a = write_measure(tmp_path, [[1.0, 1e308]], "a.txt")
+    b = write_measure(tmp_path, [[1.0, 1e307]], "b.txt")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["wasserstein", a, b]) == cli.EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.out.strip() == f"w1={9e307:.12g}" and captured.err == ""
+
+
+@pytest.mark.parametrize("a, b", [(1e308, -1e308), (1.7e308, -1.7e308)])
+def test_wasserstein_overflowing_distance_exits_2(tmp_path, capsys, a, b):
+    paths = [write_measure(tmp_path, [[1.0, v]], f"{i}.txt") for i, v in enumerate((a, b))]
+    assert cli.main(["wasserstein", *paths]) == cli.EXIT_USAGE
+    assert "overflows" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("result, message", [

@@ -1,10 +1,10 @@
 """Which scipy modules each bwgan path loads, seen from a fresh interpreter.
 
-bwgan imports scipy's distance, assignment, LP and sparse modules inside
-the functions that use them, so that ``import bwgan`` and the paths that
-need none of them (L^p and Sobolev norms, training without the W1
-monitor) do not pay for loading them.  bwgan never imports ``scipy.fft``
-itself; ``scipy.optimize`` loads it.
+bwgan imports scipy's FFT, distance, assignment, LP and sparse modules
+inside the functions that use them, so that ``import bwgan`` and the paths
+that need none of them (L^p and Sobolev norms, training without the W1
+monitor) do not pay for loading them.  Only pairwise W^{s,2} distances
+import ``scipy.fft`` themselves; ``scipy.optimize`` loads it as well.
 """
 
 import os
@@ -97,6 +97,13 @@ def test_cli_norm_of_a_sobolev_signal_loads_no_heavy_scipy_module(tmp_path):
             f"assert cli.main(['norm', {str(signal)!r}, '--space', 'sobolev',\n"
             f"                 '--shape', '8x8']) == 0")
     assert heavy_modules_after(code) == set()
+
+
+def test_sobolev_pairwise_distances_load_only_scipy_fft():
+    code = ("import numpy as np\nfrom bwgan import spaces\n"
+            "spaces.pairwise_norms(spaces.sobolev_space(1.0, 2.0, (16, 16)),\n"
+            "    np.ones((3, 256)), np.zeros((2, 256)))")
+    assert heavy_modules_after(code) == {"scipy.fft"}
 
 
 def test_wasserstein_1_loads_the_transport_solvers():

@@ -280,6 +280,40 @@ def test_l2_pairwise_norms_redo_every_pair_of_a_tiny_scale_matrix():
     assert got[0, 2] == 0.0 and np.all(np.delete(got.ravel(), 2) > 0.0)
 
 
+@pytest.mark.parametrize("p", [2.0, 3.0])
+@pytest.mark.parametrize("row, top, count", [
+    ([1e308], 1e308, 1), ([2.0 ** 1023, 0.0], 2.0 ** 1023, 1), ([1e308, 1e308], 1e308, 2)],
+    ids=["1e308", "2^1023", "two-1e308"])
+@pytest.mark.parametrize("width", [None, 64], ids=["own-width", "64-columns"])
+def test_lp_norms_of_rows_near_the_float_maximum_are_finite(p, row, top, count, width):
+    # the rescue once divided by 2^1024 = inf here and returned NaN
+    X = np.zeros((1, width or len(row)))
+    X[0, :len(row)] = row
+    space = spaces.lp_space(p)
+    want = count ** (1.0 / p) * top
+    want_dual = count ** (1.0 / spaces.dual_exponent(p)) * top
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = (spaces.norm_batch(space, X)[0], spaces.dual_norm_batch(space, X)[0],
+               spaces.pairwise_norms(space, X, np.zeros_like(X))[0, 0],
+               spaces.pairwise_norms(space, np.zeros((2, X.shape[1])), X)[:, 0])
+    assert got[0] == pytest.approx(want, rel=1e-15)
+    assert got[1] == pytest.approx(want_dual, rel=1e-15)
+    assert got[2] == got[0] and np.all(got[3] == got[0])
+
+
+@pytest.mark.parametrize("width", [2, 64])
+def test_lp_norms_that_overflow_are_inf_without_a_warning(width):
+    X = np.zeros((1, width))
+    X[0, :2] = 1.7e308
+    space = spaces.lp_space(2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = np.concatenate([spaces.norm_batch(space, X), spaces.dual_norm_batch(space, X),
+                              spaces.pairwise_norms(space, X, np.zeros_like(X)).ravel()])
+    assert np.all(got == np.inf)
+
+
 def test_dual_exponent():
     assert spaces.dual_exponent(2.0) == pytest.approx(2.0)
     assert spaces.dual_exponent(4.0) == pytest.approx(4.0 / 3.0)
@@ -476,6 +510,45 @@ def test_sobolev_channel_layout():
     x = ad.Input(flat.shape)
     np.testing.assert_allclose(ad.evaluate(spaces.norm_rows(space, x), {x: flat}), want,
                                rtol=1e-12)
+
+
+FEATURE_SPACES = [
+    spaces.sobolev_space(s, 2.0, shape, measure=measure)
+    for shape in [(7,), (12,), (5, 7), (6, 10), (16, 16), (3, 8, 8)]
+    for s in (-1.0, 0.5, 1.0) for measure in spaces.MEASURES]
+
+
+@pytest.mark.parametrize("space", FEATURE_SPACES, ids=[
+    "x".join(map(str, sp.signal_shape)) + f"-s{sp.s:g}-{sp.measure}" for sp in FEATURE_SPACES])
+def test_sobolev_pairwise_distances_from_fft_features_match_the_operator(space):
+    # pairwise W^{s,2} distances come from half-spectrum features (Parseval),
+    # the row norms from the dense operator
+    rng = np.random.default_rng(70)
+    X, Y = rng.standard_normal((6, space.size)), rng.standard_normal((5, space.size))
+    want = np.array([spaces.norm_batch(space, x - Y) for x in X])
+    np.testing.assert_allclose(spaces.pairwise_norms(space, X, Y), want,
+                               rtol=1e-13, atol=0.0)
+    empty = np.zeros((0, space.size))
+    assert spaces.pairwise_norms(space, empty, Y).shape == (0, 5)
+    assert spaces.pairwise_norms(space, X, empty).shape == (6, 0)
+
+
+def test_sobolev_pairwise_distances_off_p_two_use_the_operator():
+    space = spaces.sobolev_space(1.0, 1.5, (16, 16))
+    rng = np.random.default_rng(71)
+    X, Y = rng.standard_normal((4, 256)), rng.standard_normal((3, 256))
+    want = np.array([spaces.norm_batch(space, x - Y) for x in X])
+    np.testing.assert_allclose(spaces.pairwise_norms(space, X, Y), want,
+                               rtol=1e-13, atol=0.0)
+
+
+def test_sobolev_pairwise_distances_whose_fft_overflows_use_the_operator():
+    # the FFT's partial sum 2e308 overflows; the operator of W^{0,2} does not
+    space = spaces.sobolev_space(0.0, 2.0, (2,))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = spaces.pairwise_norms(space, [[1e308, 1e308]], [[0.0, 0.0]])
+    assert got[0, 0] == pytest.approx(np.sqrt(2.0) * 1e308, rel=1e-15)
 
 
 # ---------------------------------------------------------------------------

@@ -205,12 +205,13 @@ def test_gram_path_redoes_near_duplicates_exactly():
     np.testing.assert_allclose(D, expected, rtol=1e-12, atol=0.0)
 
 
-@pytest.mark.parametrize("space", [L2, spaces.sobolev_space(1.0, 2.0, (16, 16))],
-                         ids=["L2", "W1,2"])
+@pytest.mark.parametrize("space", [L2, spaces.sobolev_space(1.0, 2.0, (16, 16)),
+                                   spaces.sobolev_space(1.0, 2.0, (3, 8, 8))],
+                         ids=["L2", "W1,2", "W1,2-3x8x8"])
 def test_gram_path_is_homogeneous_at_extreme_scales(space):
     rng = np.random.default_rng(12)
-    X = rng.standard_normal((6, 256))
-    Y = rng.standard_normal((5, 256))
+    X = rng.standard_normal((6, space.size or 256))
+    Y = rng.standard_normal((5, space.size or 256))
     base = spaces.pairwise_norms(space, X, Y)
     for k in (-600, 600):
         with warnings.catch_warnings():
@@ -319,6 +320,33 @@ def test_reduced_assignment_matches_unreduced_reference():
         expected = unreduced_assignment_w1(transport.cost_matrix(mu, nu, L2), a, b)
         assert dist == pytest.approx(expected, rel=1e-13, abs=0.0)
         assert plan.marginal_error() <= 1e-12
+
+
+def test_sobolev_w1_matches_assignment_on_operator_costs():
+    # the solver's costs come from FFT features, the reference's from the
+    # dense operator applied to each difference
+    space = spaces.sobolev_space(1.0, 2.0, (16, 16))
+    rng = np.random.default_rng(15)
+    X, Y = rng.standard_normal((64, 256)), rng.standard_normal((64, 256)) + 0.1
+    ones = np.ones(64, int)
+    C = np.array([spaces.norm_batch(space, x - Y) for x in X])
+    dist = transport.wasserstein_1(transport.DiscreteMeasure(X, ones / 64),
+                                   transport.DiscreteMeasure(Y, ones / 64), space)
+    assert dist == pytest.approx(unreduced_assignment_w1(C, ones, ones), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+def test_wasserstein_between_points_near_the_float_maximum(p):
+    # the distance 9e307 is a float, but a power of two above it, 2^1024, is not
+    mu = transport.DiscreteMeasure([[1e308]], [1.0])
+    nu = transport.DiscreteMeasure([[1e307]], [1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        dist, _ = transport.wasserstein_p_exact(mu, nu, L2, p)
+    assert dist == pytest.approx(9e307, rel=1e-15)
+    with pytest.raises(transport.TransportError, match="overflows"):
+        transport.wasserstein_p_exact(transport.DiscreteMeasure([[1.7e308]], [1.0]),
+                                      transport.DiscreteMeasure([[-1.7e308]], [1.0]), L2, p)
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
