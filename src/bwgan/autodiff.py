@@ -2,6 +2,8 @@
 
 Graphs are built by calling the node classes, such as ``Mul(x, 2.0)``,
 whose constructors lift number and array operands to ``Constant`` nodes.
+Each operation has one class: negation is ``Mul(x, -1.0)``, and
+sign(x) |x|^a is ``AbsPow(x, a, signed=True)``.
 Nodes are immutable and hold dense float64 tensors.  The key
 design choice is that ``grad`` returns new graph *nodes*, not detached
 numbers, so a gradient expression can itself be differentiated again
@@ -155,7 +157,7 @@ class Sub(_Broadcasting):
     def vjp(self, g, index):
         if index == 0:
             return _unbroadcast(g, self.parents[0].shape)
-        return _unbroadcast(Neg(g), self.parents[1].shape)
+        return _unbroadcast(Mul(g, -1.0), self.parents[1].shape)
 
 
 class Mul(_Broadcasting):
@@ -165,14 +167,6 @@ class Mul(_Broadcasting):
     def vjp(self, g, index):
         other = self.parents[1 - index]
         return _unbroadcast(Mul(g, other), self.parents[index].shape)
-
-
-class Neg(_Elementwise):
-    def compute(self, a):
-        return -a
-
-    def vjp(self, g, index):
-        return Neg(g)
 
 
 # ---------------------------------------------------------------------------
@@ -296,31 +290,22 @@ def _abs_pow_array(a, exponent, signed):
 
 
 class AbsPow(_Elementwise):
-    """|x|^a elementwise.  For a <= 1 the value is kinked at 0."""
+    """|x|^a elementwise, or sign(x) |x|^a if ``signed``, kinked at 0 for
+    a <= 1; the derivative of each form is the other form at a - 1."""
 
-    __slots__ = ("exponent",)
+    __slots__ = ("exponent", "signed")
 
-    def __init__(self, a, exponent):
+    def __init__(self, a, exponent, signed=False):
         super().__init__(a)
         self.exponent = float(exponent)
+        self.signed = signed
 
     def compute(self, a):
-        return _abs_pow_array(a, self.exponent, signed=False)
+        return _abs_pow_array(a, self.exponent, self.signed)
 
     def vjp(self, g, index):
         x = self.parents[0]
-        return Mul(g, Mul(self.exponent, SignedAbsPow(x, self.exponent - 1.0)))
-
-
-class SignedAbsPow(AbsPow):
-    """sign(x) * |x|^a elementwise; closed under differentiation with AbsPow."""
-
-    def compute(self, a):
-        return _abs_pow_array(a, self.exponent, signed=True)
-
-    def vjp(self, g, index):
-        x = self.parents[0]
-        return Mul(g, Mul(self.exponent, AbsPow(x, self.exponent - 1.0)))
+        return Mul(g, Mul(self.exponent, AbsPow(x, self.exponent - 1.0, not self.signed)))
 
 
 # ---------------------------------------------------------------------------

@@ -26,14 +26,20 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
 
 from . import autodiff as ad
 
-FAMILIES = ("lp", "sobolev", "weighted", "product")
+# the fields each family reads; a space refuses any other set away from its default
+FAMILY_FIELDS = {
+    "lp": ("p", "measure"),
+    "sobolev": ("p", "s", "frequency_scale", "signal_shape", "measure"),
+    "weighted": ("p", "base", "weight"),
+    "product": ("p", "factors"),
+}
 MEASURES = ("counting", "normalized")
 # entries of a Sobolev space's transformed axes; its operator holds the
 # square of this many floats, 8 MB
@@ -56,14 +62,18 @@ def is_count(value, lo=1) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= lo
 
 
+def _is_default(value, default) -> bool:
+    return value is default or (default is not None and value == default)
+
+
 @dataclass
 class SpaceSpec:
     """Descriptor of one Banach space.
 
-    Only the fields relevant to ``family`` are used: ``s``,
-    ``frequency_scale`` and ``signal_shape`` for Sobolev spaces,
-    ``weight``/``base`` for weighted spaces, ``factors`` (pairs of
-    sub-space and flat size) for products.
+    Only the fields that ``family`` reads, its ``FAMILY_FIELDS``, may leave
+    their defaults: ``s``, ``frequency_scale`` and ``signal_shape`` for
+    Sobolev spaces, ``weight``/``base`` for weighted spaces, ``factors``
+    (pairs of sub-space and flat size) for products.
     """
 
     family: str
@@ -77,7 +87,7 @@ class SpaceSpec:
     measure: str = "counting"
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
+        if self.family not in FAMILY_FIELDS:
             raise SpaceError(f"unknown family {self.family!r}")
         if self.measure not in MEASURES:
             raise SpaceError(f"unknown measure {self.measure!r}")
@@ -85,6 +95,11 @@ class SpaceSpec:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise SpaceError(f"{name} must be a number, got {value!r}")
+        reads = ("family", *FAMILY_FIELDS[self.family])
+        unread = [f.name for f in fields(self) if f.name not in reads
+                  and not _is_default(getattr(self, f.name), f.default)]
+        if unread:
+            raise SpaceError(f"{self.family} space takes no {', '.join(unread)}")
         if not (self.p >= 1.0):
             raise SpaceError(f"exponent p must be >= 1, got {self.p}")
         if self.family == "sobolev":

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numbers
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -211,17 +211,14 @@ class CriticLossGraph:
         env[self.x_hat] = xhat
         return env
 
-    def _run(self, real, fake, xhat):
+    def losses_and_grads(self, real, fake, xhat):
         """The metrics dict and the parameter gradient dict."""
         vals = self._program(self._env(real, fake, xhat))
         metrics = dict(zip(("loss", "penalty", "dn_mean", "drift"), map(float, vals[:4])))
         return metrics, dict(zip(self.param_names, vals[4:]))
 
     def losses(self, real, fake, xhat) -> dict:
-        return self._run(real, fake, xhat)[0]
-
-    def losses_and_grads(self, real, fake, xhat):
-        return self._run(real, fake, xhat)
+        return self.losses_and_grads(real, fake, xhat)[0]
 
 
 class GeneratorLossGraph:
@@ -234,8 +231,7 @@ class GeneratorLossGraph:
         self.z = ad.Input((batch, generator.latent_dim), name="z")
         fake = generator.mlp.apply(self.z)
         scores = critic.build_scores(fake)
-        self.loss = ad.Mul(ad.Neg(ad.mean_all(scores)),
-                           ad.Constant(1.0 / gamma))
+        self.loss = ad.Mul(ad.mean_all(scores), ad.Constant(-1.0 / gamma))
         self.param_names = generator.mlp.param_names()
         param_nodes = [generator.mlp.nodes[k] for k in self.param_names]
         self.grad_nodes = ad.grad(self.loss, param_nodes)
@@ -366,20 +362,16 @@ class TrainMetrics:
     lambda_stderr: float = 0.0
     gamma_stderr: float = 0.0
 
-    def append(self, iteration, c_loss, g_loss, penalty, dn_mean, drift,
-               w1, lr, wall):
-        self.iterations.append(iteration)
-        self.critic_loss.append(c_loss)
-        self.gen_loss.append(g_loss)
-        self.penalty_mean.append(penalty)
-        self.grad_dual_norm_mean.append(dn_mean)
-        self.drift_term.append(drift)
-        self.exact_w1.append(w1)
-        self.lr.append(lr)
-        self.wall_time.append(wall)
+    def append(self, *record):
+        """One iteration's record, one value per list field in field order."""
+        for name, value in zip(_RECORD_FIELDS, record, strict=True):
+            getattr(self, name).append(value)
 
     def __len__(self):
         return len(self.iterations)
+
+
+_RECORD_FIELDS = tuple(f.name for f in fields(TrainMetrics) if f.default_factory is list)
 
 
 # ---------------------------------------------------------------------------

@@ -131,6 +131,23 @@ def test_rejects_weighted_and_product_spaces_missing_their_parts(fields, message
         spaces.SpaceSpec(**fields)
 
 
+@pytest.mark.parametrize("fields, message", [
+    (dict(family="lp", s=1.0, frequency_scale=3.0), r"^lp space takes no s, frequency_scale$"),
+    (dict(family="weighted", base=spaces.lp_space(2.0), weight=np.ones(4), measure="normalized"),
+     r"^weighted space takes no measure$"),
+    (dict(family="product", factors=((spaces.lp_space(2.0), 4),), measure="normalized"),
+     r"^product space takes no measure$"),
+    (dict(family="sobolev", s=1.0, signal_shape=(4,), weight=np.ones(4)),
+     r"^sobolev space takes no weight$"),
+    (dict(family="sobolev", s=1.0, signal_shape=(4,), base=spaces.lp_space(2.0)),
+     r"^sobolev space takes no base$"),
+], ids=["lp-sobolev-fields", "weighted-measure", "product-measure", "sobolev-weight",
+        "sobolev-base"])
+def test_rejects_fields_its_family_never_reads(fields, message):
+    with pytest.raises(spaces.SpaceError, match=message):
+        spaces.SpaceSpec(**fields)
+
+
 def test_size_property():
     assert spaces.lp_space(2.0).size is None
     assert spaces.sobolev_space(1.0, 2.0, (4, 8)).size == 32
